@@ -56,11 +56,11 @@ bench-compare:
 # The robustness acceptance matrix under the race detector:
 # deterministic fault injection (failed/short reads, torn writes,
 # ENOSPC, CRC corruption), mid-pass cancellation, checkpoint/resume,
-# the prefilter exact-parity property tests, and the SIGKILL + -resume
-# smoke — every cell must end in exact rules or a typed error.
+# and the SIGKILL + -resume smoke — every cell must end in exact rules
+# or a typed error.
 fault-matrix:
-	$(GO) test -race -run 'Fault|Cancel|Corrupt|Checkpoint|Budget|Retry|Injector|Prefilter' ./internal/fault ./internal/stream ./internal/core ./internal/server .
-	$(GO) test -race -run 'KillResume|Prefilter' ./cmd/dmcmine
+	$(GO) test -race -run 'Fault|Cancel|Corrupt|Checkpoint|Budget|Retry|Injector' ./internal/fault ./internal/stream ./internal/core ./internal/server .
+	$(GO) test -race -run 'KillResume' ./cmd/dmcmine
 
 # The durability acceptance matrix for the dataset store, the mine
 # cache, and the serving layer on top of them: the store fault matrix

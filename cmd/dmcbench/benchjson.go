@@ -53,9 +53,8 @@ type BenchFile struct {
 // legacy row-at-a-time spill codec (the pre-block-codec configuration)
 // and "stream-parallel" with the framed codec, prefetch and worker
 // fan-out. Variant "bitmap" forces the DMC-bitmap switch for the last
-// 4,096 rows regardless of counter memory (whole-run on smaller sets);
-// "prefilter" (sim only) runs the exact scan behind the conservative
-// LSH candidate sketch. GOMAXPROCS is the scheduler width the point ran
+// 4,096 rows regardless of counter memory (whole-run on smaller sets).
+// GOMAXPROCS is the scheduler width the point ran
 // under — set to the worker count for parallel engines, 1 for serial
 // ones — and is part of the point's identity: -compare refuses to
 // compare points measured at different widths, because a w4 number from
@@ -68,7 +67,7 @@ type BenchFile struct {
 type BenchPoint struct {
 	Name             string  `json:"name"`
 	Mode             string  `json:"mode"`    // imp | sim
-	Variant          string  `json:"variant"` // default | bitmap | prefilter
+	Variant          string  `json:"variant"` // default | bitmap
 	Engine           string  `json:"engine"`  // serial | parallel | stream-serial | stream-parallel
 	Workers          int     `json:"workers"`
 	GOMAXPROCS       int     `json:"gomaxprocs,omitempty"`
@@ -104,20 +103,16 @@ func runBenchJSON(path string, benchTime time.Duration, scale float64, seed int6
 	m := ds.M
 	th := core.FromPercent(85)
 	variants := []struct {
-		name  string
-		opts  core.Options
-		modes []string
+		name string
+		opts core.Options
 	}{
-		{"default", core.Options{}, []string{"imp", "sim"}},
+		{"default", core.Options{}},
 		// Forced switch for the last 4,096 rows regardless of counter
 		// memory: the run exercises the DMC-bitmap endgame and the shared
 		// tail build without materializing a whole-dataset bitmap (on a
 		// 2^20-row set that would be ~512 bytes per live column per
 		// worker-phase — a memory benchmark, not a kernel one).
-		{"bitmap", core.Options{BitmapMaxRows: 4096, BitmapMinBytes: -1}, []string{"imp", "sim"}},
-		// The conservative LSH sketch ahead of the exact scan; sim only
-		// (confidence rules are not Jaccard-bounded).
-		{"prefilter", core.Options{Prefilter: &core.PrefilterOptions{}}, []string{"sim"}},
+		{"bitmap", core.Options{BitmapMaxRows: 4096, BitmapMinBytes: -1}},
 	}
 
 	doc := BenchFile{
@@ -135,7 +130,7 @@ func runBenchJSON(path string, benchTime time.Duration, scale float64, seed int6
 	}
 
 	for _, v := range variants {
-		for _, mode := range v.modes {
+		for _, mode := range []string{"imp", "sim"} {
 			runs := mineRuns(m, th, v.opts, mode, workers)
 			for _, r := range runs {
 				p := measureAt(r, benchTime)

@@ -60,7 +60,7 @@ func TestParseWorkerList(t *testing.T) {
 
 // The grid must run end to end on a tiny scale, stamp every point with
 // the scheduler width it ran under (workers for parallel engines, 1 for
-// serial ones), include the sim prefilter variant, and self-compare
+// serial ones), and self-compare
 // cleanly — the shape both CI jobs rely on.
 func TestRunBenchJSONGrid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
@@ -87,13 +87,10 @@ func TestRunBenchJSONGrid(t *testing.T) {
 			t.Errorf("%s: unknown engine %q", p.Name, p.Engine)
 		}
 	}
-	for _, want := range []string{"imp/default/serial", "imp/bitmap/w2", "sim/prefilter/serial", "sim/prefilter/w2", "sim/default/stream-w2", "imp/default/fleet-w2", "sim/default/fleet-w2"} {
+	for _, want := range []string{"imp/default/serial", "imp/bitmap/w2", "sim/bitmap/serial", "sim/default/stream-w2", "imp/default/fleet-w2", "sim/default/fleet-w2"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("grid missing point %s", want)
 		}
-	}
-	if _, ok := byName["imp/prefilter/serial"]; ok {
-		t.Error("grid measured a prefiltered implication point")
 	}
 	if err := compareBench(path, path, 0.15); err != nil {
 		t.Fatalf("fresh grid does not self-compare: %v", err)

@@ -47,7 +47,6 @@ func main() {
 		memBudget = flag.Int("mem-budget", 0, "counter-memory budget in bytes for the dmc engine; on overflow the mine degrades to out-of-core streaming (0 = unbounded)")
 		appendF   = flag.String("append", "", "basket file whose transactions are appended to -in before mining; the grown matrix is saved back to -in (dmc engine, resident mode)")
 		snapshot  = flag.String("snapshot", "", "resumable counter-snapshot file: loaded when it matches the dataset (so only -append rows are counted and rules derive without a scan) and refreshed afterwards")
-		prefilter = flag.Bool("prefilter", false, "prune similarity candidate pairs with a conservative LSH sketch before the exact scan (dmc engine, sim mode, resident path)")
 	)
 	flag.Parse()
 	// SIGINT/SIGTERM cancel the mine promptly through the pipelines'
@@ -60,7 +59,7 @@ func main() {
 		top: *top, stats: *stats, stream: *streaming, workers: *workers,
 		clusters: *clusters, groups: *groups, out: *out, minSup: *minSup,
 		ckptDir: *ckptDir, resume: *resume, memBudget: *memBudget,
-		appendFile: *appendF, snapshot: *snapshot, prefilter: *prefilter, ctx: ctx,
+		appendFile: *appendF, snapshot: *snapshot, ctx: ctx,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "dmcmine:", err)
@@ -87,7 +86,6 @@ type runConfig struct {
 	memBudget  int
 	appendFile string
 	snapshot   string
-	prefilter  bool
 	ctx        context.Context
 }
 
@@ -112,22 +110,6 @@ func run(cfg runConfig) error {
 			return fmt.Errorf("-append and -snapshot support only the dmc engine")
 		}
 	}
-	if cfg.prefilter {
-		// Sim-only and resident-only: confidence is not bounded by Jaccard
-		// (imp rules can pair dissimilar columns), the streamed engine has
-		// no resident matrix to sketch, and an incremental derivation
-		// replays exact counters rather than running the pruned pipeline.
-		switch {
-		case mode != "sim":
-			return fmt.Errorf("-prefilter applies to -mode sim only")
-		case engine != "dmc":
-			return fmt.Errorf("-prefilter supports only the dmc engine")
-		case cfg.stream:
-			return fmt.Errorf("-prefilter needs the resident path, not -stream")
-		case cfg.appendFile != "" || cfg.snapshot != "":
-			return fmt.Errorf("-prefilter cannot combine with -append/-snapshot (rules would derive from exact counters, not the pruned scan)")
-		}
-	}
 	if cfg.stream {
 		if engine != "dmc" {
 			return fmt.Errorf("-stream supports only the dmc engine")
@@ -150,9 +132,6 @@ func run(cfg runConfig) error {
 	opts.MinSupport = cfg.minSup
 	opts.Ctx = cfg.ctx
 	opts.MemBudgetBytes = cfg.memBudget
-	if cfg.prefilter {
-		opts.Prefilter = &core.PrefilterOptions{}
-	}
 	switch order {
 	case "sparsest":
 		opts.Order = core.OrderSparsestFirst
@@ -388,9 +367,6 @@ func dmcStats(st core.Stats) string {
 		st.PeakCounterBytes, st.CandidatesAdded, st.CandidatesDeleted)
 	if st.SwitchPos100 >= 0 || st.SwitchPosLT >= 0 {
 		s += fmt.Sprintf("; bitmap switch at rows %d/%d", st.SwitchPos100, st.SwitchPosLT)
-	}
-	if st.PrefilterCandidates > 0 || st.PrefilterPruned > 0 {
-		s += fmt.Sprintf("\nprefilter kept %d candidate pairs, pruned %d", st.PrefilterCandidates, st.PrefilterPruned)
 	}
 	return s
 }

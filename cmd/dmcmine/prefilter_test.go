@@ -1,35 +1,38 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
 
-// -prefilter runs the sim pipeline with the sketch (exercised end to
-// end over the Fig. 2 dataset) and is rejected everywhere the sketch
-// cannot honestly apply.
-func TestRunPrefilter(t *testing.T) {
-	path := fig2Path(t)
-	cfg := baseConfig(path)
-	cfg.mode = "sim"
-	cfg.prefilter = true
-	if err := run(cfg); err != nil {
-		t.Fatalf("sim -prefilter: %v", err)
-	}
+const mainHelperEnv = "DMCMINE_MAIN_HELPER"
 
-	for name, bad := range map[string]func(*runConfig){
-		"imp mode":      func(c *runConfig) { c.mode = "imp" },
-		"stream":        func(c *runConfig) { c.stream = true },
-		"naive engine":  func(c *runConfig) { c.engine = "naive" },
-		"with snapshot": func(c *runConfig) { c.snapshot = path + ".snap" },
-	} {
-		cfg := baseConfig(path)
-		cfg.mode = "sim"
-		cfg.prefilter = true
-		bad(&cfg)
-		err := run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "-prefilter") {
-			t.Errorf("%s: err = %v, want a -prefilter rejection", name, err)
+// TestHelperMain is not a test: TestRunPrefilter re-execs this binary
+// to run main with the arguments after "--".
+func TestHelperMain(t *testing.T) {
+	if os.Getenv(mainHelperEnv) == "" {
+		t.Skip("helper process for TestRunPrefilter")
+	}
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"dmcmine"}, os.Args[i+1:]...)
+			break
 		}
+	}
+	main()
+}
+
+// The LSH prefilter is gone; -prefilter is an unknown flag, refused
+// before any mining starts.
+func TestRunPrefilter(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperMain$", "--",
+		"-in", fig2Path(t), "-mode", "sim", "-prefilter")
+	cmd.Env = append(os.Environ(), mainHelperEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -prefilter") {
+		t.Fatalf("dmcmine -prefilter: err %v, want exit 2 for an unknown flag\n%s", err, out)
 	}
 }

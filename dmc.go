@@ -89,15 +89,6 @@ const (
 	OrderDensestFirst  = core.OrderDensestFirst
 )
 
-// PrefilterOptions configure the opt-in banded LSH candidate prefilter
-// for similarity mining (set on Options.Prefilter): column pairs that
-// collide in no band are dropped before the exact DMC scan. The zero
-// value (32 bands of 1 row) is conservative enough that qualifying
-// pairs are kept with near-certainty; see core.PrefilterOptions for the
-// recall curve. Implication mining and the file/streaming paths do not
-// support it.
-type PrefilterOptions = core.PrefilterOptions
-
 // Stats reports phase timings, counter-array memory, candidate churn
 // and the DMC-bitmap switch positions of a mining run.
 type Stats = core.Stats

@@ -102,13 +102,6 @@ type Options struct {
 	// errors.Is(err, context.Canceled) works. Nil means uncancellable.
 	Ctx context.Context
 
-	// Prefilter, when non-nil, enables the banded LSH candidate
-	// prefilter for the matrix-backed similarity pipelines: column
-	// pairs that collide in no band are dropped before the exact scan.
-	// See PrefilterOptions for the recall trade-off; implication mining
-	// and the Source/streaming paths ignore this option.
-	Prefilter *PrefilterOptions
-
 	// Shard, when non-nil, restricts rule ownership to the column range
 	// [Shard.Lo, Shard.Hi): only in-range columns act as implication
 	// antecedents or as a similarity pair's rank-lesser member, so the
@@ -116,11 +109,6 @@ type Options struct {
 	// shards partition the full rule set — the distributed fleet's
 	// correctness contract (package fleet). Nil mines everything.
 	Shard *ShardRange
-
-	// pairAllow is the built prefilter, stashed by the matrix-backed
-	// entry points for the scans to consult. Immutable once built, so
-	// parallel workers share it without locking.
-	pairAllow *pairFilter
 
 	// MemBudgetBytes, when > 0, bounds the modeled mining memory — the
 	// paper's counter-array accounting (candidate entries at 8/4 bytes,
@@ -244,11 +232,6 @@ type Stats struct {
 	ColumnsAfterCutoff int
 	// NumRules is the number of rules emitted.
 	NumRules int
-	// PrefilterCandidates and PrefilterPruned report the LSH prefilter
-	// cut when Options.Prefilter is on: pairs admitted by the banding
-	// and non-empty-column pairs dropped by it. Both are zero when the
-	// filter is off or skipped (MinCols floor).
-	PrefilterCandidates, PrefilterPruned int
 	// MemSamples is the per-row memory series (only with
 	// Options.SampleMemory; positions are per-phase scan positions).
 	MemSamples []MemSample

@@ -129,12 +129,6 @@ func DMCSimParallel(m *matrix.Matrix, minsim Threshold, opts Options, workers in
 	mcols := m.NumCols()
 	owned := shardOwnership(ones, workers, opts.Shard)
 	wopts := opts.perWorker(workers)
-	// Build the LSH prefilter once; the immutable result is shared
-	// read-only by every worker through its Options copy.
-	wopts.pairAllow = buildSimPrefilter(m, opts)
-	if pf := wopts.pairAllow; pf != nil {
-		st.PrefilterCandidates, st.PrefilterPruned = pf.candidates, pf.pruned
-	}
 	supportAlive := opts.supportMask(ones)
 	base := Rows(matrixRows{m, order})
 	rows100 := base

@@ -33,9 +33,6 @@ func DMCSimEach(m *matrix.Matrix, minsim Threshold, opts Options, fn func(rules.
 	start := time.Now()
 	ones := m.Ones()
 	src := MatrixSource(m, opts.Order.order(m))
-	// The prefilter sketch pass counts as prescan work: it is the same
-	// one-scan-over-the-data shape as the ones count.
-	opts.pairAllow = buildSimPrefilter(m, opts)
 	return dmcSim(src, ones, minsim, opts, time.Since(start), fn)
 }
 
@@ -58,9 +55,6 @@ func dmcSim(src Source, ones []int, minsim Threshold, opts Options, prescan time
 	var st Stats
 	st.SwitchPos100, st.SwitchPosLT = -1, -1
 	st.Prescan = prescan
-	if pf := opts.pairAllow; pf != nil {
-		st.PrefilterCandidates, st.PrefilterPruned = pf.candidates, pf.pruned
-	}
 	opts.Hooks.emitPhase("sim", "prescan", prescan)
 	start := time.Now()
 

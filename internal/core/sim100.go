@@ -18,7 +18,6 @@ import (
 // pipeline); share, when non-nil, is the shared tail-bitmap
 // coordinator.
 func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
-	pf := opts.pairAllow
 	cnt := make([]int, mcols)
 	cand := make([][]matrix.Col, mcols)
 	hasList := make([]bool, mcols)
@@ -34,7 +33,7 @@ func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 		}
 		if !opts.DisableBitmap && n-pos <= bmMaxRows && mem.bytes > bmMinBytes {
 			start := time.Now()
-			sim100Bitmap(rows, pos, mcols, ones, alive, owned, cnt, cand, hasList, released, pf, share, mem, st, emit)
+			sim100Bitmap(rows, pos, mcols, ones, alive, owned, cnt, cand, hasList, released, share, mem, st, emit)
 			st.Bitmap += time.Since(start)
 			if st.SwitchPos100 < 0 {
 				st.SwitchPos100 = pos
@@ -48,7 +47,7 @@ func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 			case !hasList[cj]:
 				lst := ar.alloc(len(row))
 				for _, ck := range row {
-					if ck > cj && ones[ck] == ones[cj] && pf.allow(cj, ck) {
+					if ck > cj && ones[ck] == ones[cj] {
 						lst = append(lst, ck)
 					}
 				}
@@ -88,10 +87,7 @@ func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 // hand from the scan — upgrades the subset to equality. That turns the
 // phase from two full re-streams of bm(cj) per candidate pair into a
 // single streamed sweep per column.
-// pf, when non-nil, gates phase-2 pairings like simBitmap's phase 2:
-// filtered pairs never made a candidate list, so they must not be
-// rediscovered from tail co-occurrence.
-func sim100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cnt []int, cand [][]matrix.Col, hasList, released []bool, pf *pairFilter, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
+func sim100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cnt []int, cand [][]matrix.Col, hasList, released []bool, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
 	tail, bms := share.get(rows, pos, mcols, alive, st)
 	empty := bitset.New(len(tail))
 	var tc tailCounter
@@ -128,7 +124,7 @@ func sim100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cn
 			}
 		}
 		for ck, h := range hits {
-			if ck > matrix.Col(cj) && ones[ck] == ones[cj] && h == ones[cj] && pf.allow(matrix.Col(cj), ck) {
+			if ck > matrix.Col(cj) && ones[ck] == ones[cj] && h == ones[cj] {
 				emit(rules.Similarity{A: matrix.Col(cj), B: ck, Hits: h, OnesA: ones[cj], OnesB: ones[ck]})
 			}
 		}

@@ -43,14 +43,7 @@ func simScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 	released := make([]bool, mcols)
 	ar := newArena[candEntry](arenaBlockEntries)
 
-	// The LSH prefilter folds into the budget: a disallowed pair gets a
-	// negative budget, which is exactly the §5.1 "never created" state —
-	// no creation site admits it and no merge inserts it.
-	pf := opts.pairAllow
 	budget := func(cj, ck matrix.Col) int {
-		if !pf.allow(cj, ck) {
-			return -1
-		}
 		return t.MaxMissesSim(ones[cj], ones[ck])
 	}
 	// maxHitsOK reports whether the pair can still reach its hit floor:
@@ -74,7 +67,7 @@ func simScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 		}
 		if !opts.DisableBitmap && n-pos <= bmMaxRows && mem.bytes > bmMinBytes {
 			start := time.Now()
-			simBitmap(rows, pos, mcols, ones, alive, owned, t, colMax, cnt, cand, hasList, released, rk, pf, share, mem, st, emit)
+			simBitmap(rows, pos, mcols, ones, alive, owned, t, colMax, cnt, cand, hasList, released, rk, share, mem, st, emit)
 			st.Bitmap += time.Since(start)
 			if st.SwitchPosLT < 0 {
 				st.SwitchPosLT = pos
@@ -253,11 +246,7 @@ func simMergeClosed(lst []candEntry, row []matrix.Col, cj matrix.Col, budget fun
 // one fused sweep instead of deriving hits from a separate miss count),
 // tail hit counting for columns that could still admit candidates; both
 // decide with the exact pair hit floor.
-// pf, when non-nil, is the LSH prefilter: phase 2 must gate its
-// emissions on it, because a filtered pair is absent from the candidate
-// lists — its pre-switch hits were never seeded, so the hits map
-// undercounts it and emitting would report wrong figures.
-func simBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, t Threshold, colMax, cnt []int, cand [][]candEntry, hasList, released []bool, rk ranker, pf *pairFilter, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
+func simBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, t Threshold, colMax, cnt []int, cand [][]candEntry, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
 	tail, bms := share.get(rows, pos, mcols, alive, st)
 	empty := bitset.New(len(tail))
 	var tc tailCounter
@@ -300,7 +289,7 @@ func simBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, t Thr
 			}
 		}
 		for ck, h := range hits {
-			if rk.less(matrix.Col(cj), ck) && h >= t.MinHitsSim(ones[cj], ones[ck]) && pf.allow(matrix.Col(cj), ck) {
+			if rk.less(matrix.Col(cj), ck) && h >= t.MinHitsSim(ones[cj], ones[ck]) {
 				emit(rules.Similarity{A: matrix.Col(cj), B: ck, Hits: h, OnesA: ones[cj], OnesB: ones[ck]})
 			}
 		}

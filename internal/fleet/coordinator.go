@@ -29,7 +29,6 @@ type DatasetRef struct {
 type Params struct {
 	ThresholdPercent int
 	MinSupport       int
-	Prefilter        bool
 	// Workers is the per-node pipeline fan-out (the workers= mine
 	// parameter each node runs its shard with); 0 = one per node CPU.
 	Workers int
@@ -250,8 +249,7 @@ func (c *Coordinator) scatter(ctx context.Context, ds DatasetRef, p Params, mode
 			task := Task{
 				Dataset: ds.Name, Hash: ds.Hash, Mode: mode,
 				Threshold: p.ThresholdPercent, MinSupport: p.MinSupport,
-				Prefilter: p.Prefilter,
-				ColLo:     shards[i].Lo, ColHi: shards[i].Hi,
+				ColLo: shards[i].Lo, ColHi: shards[i].Hi,
 				Workers: p.Workers,
 			}
 			cursor := i % len(nodes)

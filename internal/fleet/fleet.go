@@ -78,7 +78,6 @@ type Task struct {
 	Mode       string `json:"mode"` // "imp" or "sim"
 	Threshold  int    `json:"threshold_percent"`
 	MinSupport int    `json:"minsupport"`
-	Prefilter  bool   `json:"prefilter,omitempty"`
 	ColLo      int    `json:"col_lo"`
 	ColHi      int    `json:"col_hi"`
 	Workers    int    `json:"workers,omitempty"` // per-node pipeline fan-out; 0 = one per CPU

@@ -45,7 +45,6 @@ type Params struct {
 	Threshold  int    `json:"threshold"`
 	MinSupport int    `json:"minsupport,omitempty"`
 	Workers    int    `json:"workers,omitempty"`
-	Prefilter  bool   `json:"prefilter,omitempty"`
 }
 
 // Job is one asynchronous mine. Every mutation is journaled before it

@@ -237,7 +237,7 @@ func TestBrownoutDegradesToStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Add("baskets", m)
-	s.mineImp = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
 		t.Error("resident pipeline ran during brownout")
 		return nil, core.Stats{}, nil
 	}
@@ -258,7 +258,7 @@ func TestBrownoutDegradesToStream(t *testing.T) {
 
 	// Ledger back under the ceiling: the resident pipeline serves again.
 	s.resident.Store(0)
-	s.mineImp = func(m *matrix.Matrix, th core.Threshold, o core.Options, w int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(m *matrix.Matrix, th core.Threshold, o core.Options, w int) ([]rules.Implication, core.Stats, error) {
 		rs, st := core.DMCImp(m, th, o)
 		return rs, st, nil
 	}

@@ -10,7 +10,6 @@ import (
 	"dmc/internal/cache"
 	"dmc/internal/core"
 	"dmc/internal/matrix"
-	"dmc/internal/rules"
 	"dmc/internal/store"
 )
 
@@ -30,19 +29,13 @@ import (
 
 // paramsKey canonicalizes the parameters that determine a rule set.
 // workers only changes the schedule and limit only truncates the
-// response, so neither belongs in the key. The prefilter flag does: an
-// aggressive future default could legitimately drop rules, so a
-// prefiltered result must never be served for an exact request (or vice
-// versa). The column shard does too: a fleet worker's partial result
-// holds only the rules its range owns and must never alias the
-// full-mine entry under the same (hash, params). Each suffix appears
-// only when set, keeping exact-mine keys — and any cache entries
-// persisted under them — unchanged.
+// response, so neither belongs in the key. The column shard does: a
+// fleet worker's partial result holds only the rules its range owns and
+// must never alias the full-mine entry under the same (hash, params).
+// Its suffix appears only when set, keeping full-mine keys — and any
+// cache entries persisted under them — unchanged.
 func (p params) paramsKey() string {
 	k := fmt.Sprintf("t=%d ms=%d", p.threshold, p.minSupport)
-	if p.prefilter {
-		k += " pf=1"
-	}
 	if p.shard != nil {
 		k += fmt.Sprintf(" cols=%d-%d", p.shard.Lo, p.shard.Hi)
 	}
@@ -56,73 +49,6 @@ func (s *Server) cacheable(d *dataset) (string, bool) {
 		return "", false
 	}
 	return d.hash, true
-}
-
-// cachedImps returns the cached implication set for (d, p), if any.
-func (s *Server) cachedImps(d *dataset, p params) ([]rules.Implication, bool) {
-	hash, ok := s.cacheable(d)
-	if !ok {
-		return nil, false
-	}
-	payload, ok := s.rc.Get(cache.Key(hash, "imp", p.paramsKey()))
-	if !ok {
-		return nil, false
-	}
-	rs, err := rules.ReadImplications(bytes.NewReader(payload))
-	if err != nil {
-		// A payload that frames as valid but does not parse is foreign
-		// damage; drop it and re-derive.
-		s.rc.Remove(cache.Key(hash, "imp", p.paramsKey()))
-		return nil, false
-	}
-	return rs, true
-}
-
-// storeImps caches a freshly derived implication set for (d, p).
-// Failures are deliberately swallowed: caching is an optimization and
-// the response is already correct.
-func (s *Server) storeImps(d *dataset, p params, rs []rules.Implication) {
-	hash, ok := s.cacheable(d)
-	if !ok {
-		return
-	}
-	sorted := append([]rules.Implication(nil), rs...)
-	rules.SortImplications(sorted)
-	var b bytes.Buffer
-	if rules.WriteImplications(&b, sorted) == nil {
-		_ = s.rc.Put(cache.Key(hash, "imp", p.paramsKey()), b.Bytes())
-	}
-}
-
-// cachedSims and storeSims mirror the implication pair.
-func (s *Server) cachedSims(d *dataset, p params) ([]rules.Similarity, bool) {
-	hash, ok := s.cacheable(d)
-	if !ok {
-		return nil, false
-	}
-	payload, ok := s.rc.Get(cache.Key(hash, "sim", p.paramsKey()))
-	if !ok {
-		return nil, false
-	}
-	rs, err := rules.ReadSimilarities(bytes.NewReader(payload))
-	if err != nil {
-		s.rc.Remove(cache.Key(hash, "sim", p.paramsKey()))
-		return nil, false
-	}
-	return rs, true
-}
-
-func (s *Server) storeSims(d *dataset, p params, rs []rules.Similarity) {
-	hash, ok := s.cacheable(d)
-	if !ok {
-		return
-	}
-	sorted := append([]rules.Similarity(nil), rs...)
-	rules.SortSimilarities(sorted)
-	var b bytes.Buffer
-	if rules.WriteSimilarities(&b, sorted) == nil {
-		_ = s.rc.Put(cache.Key(hash, "sim", p.paramsKey()), b.Bytes())
-	}
 }
 
 // snapshot returns d's resumable mining state from the cache, if one

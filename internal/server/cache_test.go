@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -60,67 +61,74 @@ func cachedTestServer(t *testing.T) (*Server, *httptest.Server) {
 
 const basketBody = "bread butter jam\nbread butter\nbread butter coffee\nbread butter jam\nbread coffee\ncoffee tea\nbread butter tea\njam bread butter\ncoffee\nbread butter jam coffee\n"
 
-// TestRepeatMineServedFromCache is the tentpole acceptance check: the
-// second identical mine comes back source=cache with the hit counter
-// incremented and the rule set byte-identical.
-func TestRepeatMineServedFromCache(t *testing.T) {
-	_, ts := cachedTestServer(t)
-	if resp := doPut(t, ts.URL, "baskets", basketBody); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT: %d", resp.StatusCode)
-	}
-	var cold MineResponse[ImplicationWire]
-	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=80", http.StatusOK, &cold)
-	if cold.Source != "" {
-		t.Fatalf("cold mine source = %q, want \"\"", cold.Source)
-	}
-	if cold.Total == 0 {
-		t.Fatal("cold mine found no rules")
-	}
-
-	hits0 := cacheHits()
-	var warm MineResponse[ImplicationWire]
-	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=80", http.StatusOK, &warm)
-	if warm.Source != "cache" {
-		t.Fatalf("repeat mine source = %q, want cache", warm.Source)
-	}
-	if cacheHits()-hits0 < 1 {
-		t.Fatal("dmc_cache_hits_total not incremented by a repeat mine")
-	}
-	if warm.Total != cold.Total || len(warm.Rules) != len(cold.Rules) {
-		t.Fatalf("cached mine differs: %d/%d rules vs %d/%d", warm.Total, len(warm.Rules), cold.Total, len(cold.Rules))
-	}
-	for i := range warm.Rules {
-		if warm.Rules[i] != cold.Rules[i] {
-			t.Fatalf("cached rule %d differs: %+v vs %+v", i, warm.Rules[i], cold.Rules[i])
-		}
-	}
-
-	// Different params are a different key: no stale crossover.
-	var other MineResponse[ImplicationWire]
-	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=95", http.StatusOK, &other)
-	if other.Source == "cache" {
-		t.Fatal("different threshold served from the 80% cache entry")
-	}
-	// But workers and limit do not change the rule set, so they share
-	// the entry.
-	var lim MineResponse[ImplicationWire]
-	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=80&limit=1&workers=2", http.StatusOK, &lim)
-	if lim.Source != "cache" || len(lim.Rules) != 1 || !lim.Truncated {
-		t.Fatalf("limit over cached entry: %+v", lim)
-	}
+// minedReply is the byte-comparable view of a mine response.
+type minedReply struct {
+	Source    string          `json:"source"`
+	Total     int             `json:"total_rules"`
+	Truncated bool            `json:"truncated"`
+	Rules     json.RawMessage `json:"rules"`
 }
 
-func TestRepeatSimMineServedFromCache(t *testing.T) {
-	_, ts := cachedTestServer(t)
-	doPut(t, ts.URL, "baskets", basketBody)
-	var cold, warm MineResponse[SimilarityWire]
-	getJSON(t, ts.URL+"/v1/datasets/baskets/similarities?threshold=60", http.StatusOK, &cold)
-	getJSON(t, ts.URL+"/v1/datasets/baskets/similarities?threshold=60", http.StatusOK, &warm)
-	if warm.Source != "cache" {
-		t.Fatalf("repeat sim source = %q", warm.Source)
-	}
-	if fmt.Sprint(warm.Rules) != fmt.Sprint(cold.Rules) {
-		t.Fatalf("cached sim rules differ:\n%v\n%v", warm.Rules, cold.Rules)
+// TestRepeatMineServedFromCache is the tentpole acceptance check, for
+// both pipelines: the second identical mine comes back source=cache
+// with the hit counter incremented and the rule list byte-identical.
+func TestRepeatMineServedFromCache(t *testing.T) {
+	for _, tc := range []struct {
+		name, family string
+		threshold    int
+	}{
+		{"imp", "implications", 80},
+		{"sim", "similarities", 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := cachedTestServer(t)
+			if resp := doPut(t, ts.URL, "baskets", basketBody); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("PUT: %d", resp.StatusCode)
+			}
+			mine := func(query string) minedReply {
+				var r minedReply
+				getJSON(t, ts.URL+"/v1/datasets/baskets/"+tc.family+"?"+query, http.StatusOK, &r)
+				return r
+			}
+			q := fmt.Sprintf("threshold=%d", tc.threshold)
+			cold := mine(q)
+			if cold.Source != "" {
+				t.Fatalf("cold mine source = %q, want \"\"", cold.Source)
+			}
+			if cold.Total < 2 {
+				t.Fatalf("cold mine found %d rules, want at least 2", cold.Total)
+			}
+
+			hits0 := cacheHits()
+			warm := mine(q)
+			if warm.Source != "cache" {
+				t.Fatalf("repeat mine source = %q, want cache", warm.Source)
+			}
+			if cacheHits()-hits0 < 1 {
+				t.Fatal("dmc_cache_hits_total not incremented by a repeat mine")
+			}
+			if warm.Total != cold.Total || string(warm.Rules) != string(cold.Rules) {
+				t.Fatalf("cached mine differs:\n%s\nvs\n%s", warm.Rules, cold.Rules)
+			}
+
+			// Different params are a different key: no stale crossover.
+			if other := mine("threshold=95"); other.Source == "cache" {
+				t.Fatalf("different threshold served from the %d%% cache entry", tc.threshold)
+			}
+			// But workers and limit do not change the rule set, so they
+			// share the entry.
+			lim := mine(q + "&limit=1&workers=2")
+			var limRules, coldRules []json.RawMessage
+			if err := json.Unmarshal(lim.Rules, &limRules); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(cold.Rules, &coldRules); err != nil {
+				t.Fatal(err)
+			}
+			if lim.Source != "cache" || !lim.Truncated || len(limRules) != 1 || !bytes.Equal(limRules[0], coldRules[0]) {
+				t.Fatalf("limit over cached entry: %+v", lim)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/fleet"
-	"dmc/internal/rules"
 	"dmc/internal/store"
 )
 
@@ -111,71 +109,30 @@ func (s *Server) handleFleetShard(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if t.Prefilter && t.Mode != "sim" {
-		writeErr(w, r, http.StatusBadRequest, "prefilter applies to similarity mining only")
-		return
-	}
-	if t.Prefilter && d.m == nil {
-		writeErr(w, r, http.StatusBadRequest, "prefilter needs a resident replica")
-		return
-	}
 	p := params{
 		threshold: t.Threshold, minSupport: t.MinSupport,
-		workers: t.Workers, prefilter: t.Prefilter, shard: &shard,
+		workers: t.Workers, shard: &shard,
 	}
-	opts := core.Options{
-		MinSupport: p.minSupport, Hooks: s.hooks,
-		MemBudgetBytes: s.cfg.MemBudgetBytes, Shard: &shard,
+	if t.Mode == "imp" {
+		serveShard(s, w, r, &s.imps, d, p)
+	} else {
+		serveShard(s, w, r, &s.sims, d, p)
 	}
-	switch t.Mode {
-	case "imp":
-		rs, cached := s.cachedImps(d, p)
-		if !cached {
-			var ok bool
-			rs, _, ok = runMine(s, w, r, "imp-shard", func(ctx context.Context) ([]rules.Implication, core.Stats, error) {
-				opts := opts
-				opts.Ctx = ctx
-				if d.m == nil {
-					return s.mineImpFile(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
-				}
-				return s.mineImpMem(d.m, core.FromPercent(p.threshold), opts, p.workers)
-			})
-			if !ok {
-				return
-			}
-			s.storeImps(d, p, rs)
+}
+
+// serveShard answers one shard task of pl's family: the cached partial
+// result or a fresh mine of the owned columns, written canonically
+// sorted.
+func serveShard[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *pipeline[R, W], d *dataset, p params) {
+	rs, ok := cachedRules(s, pl, d, p)
+	if !ok {
+		if rs, _, ok = mineLocal(s, w, r, pl, pl.name+"-shard", d, p); !ok {
+			return
 		}
-		sorted := append([]rules.Implication(nil), rs...)
-		rules.SortImplications(sorted)
-		writeRulePayload(w, func(buf *bytes.Buffer) error {
-			return rules.WriteImplications(buf, sorted)
-		})
-	case "sim":
-		if p.prefilter {
-			opts.Prefilter = &core.PrefilterOptions{}
-		}
-		rs, cached := s.cachedSims(d, p)
-		if !cached {
-			var ok bool
-			rs, _, ok = runMine(s, w, r, "sim-shard", func(ctx context.Context) ([]rules.Similarity, core.Stats, error) {
-				opts := opts
-				opts.Ctx = ctx
-				if d.m == nil {
-					return s.mineSimFile(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
-				}
-				return s.mineSimMem(d.m, core.FromPercent(p.threshold), opts, p.workers)
-			})
-			if !ok {
-				return
-			}
-			s.storeSims(d, p, rs)
-		}
-		sorted := append([]rules.Similarity(nil), rs...)
-		rules.SortSimilarities(sorted)
-		writeRulePayload(w, func(buf *bytes.Buffer) error {
-			return rules.WriteSimilarities(buf, sorted)
-		})
+		storeRules(s, pl, d, p, rs)
 	}
+	pl.canon(rs)
+	writeRulePayload(w, func(buf *bytes.Buffer) error { return pl.write(buf, rs) })
 }
 
 // writeRulePayload buffers the rule-file payload before writing so an
@@ -229,29 +186,6 @@ func (s *Server) fleetReady(w http.ResponseWriter, r *http.Request, d *dataset) 
 	return true
 }
 
-// mineImpFleet scatters an implication mine across the fleet and
-// gathers the exact single-node rule set.
-func (s *Server) mineImpFleet(ctx context.Context, d *dataset, p params) ([]rules.Implication, core.Stats, error) {
-	start := time.Now()
-	rs, fst, err := s.cfg.Fleet.MineImplications(ctx, s.fleetRef(d), s.fleetParams(p))
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	_ = fst
-	return rs, core.Stats{NumRules: len(rs), Total: time.Since(start)}, nil
-}
-
-// mineSimFleet is mineImpFleet for similarity rules.
-func (s *Server) mineSimFleet(ctx context.Context, d *dataset, p params) ([]rules.Similarity, core.Stats, error) {
-	start := time.Now()
-	rs, fst, err := s.cfg.Fleet.MineSimilarities(ctx, s.fleetRef(d), s.fleetParams(p))
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	_ = fst
-	return rs, core.Stats{NumRules: len(rs), Total: time.Since(start)}, nil
-}
-
 func (s *Server) fleetRef(d *dataset) fleet.DatasetRef {
 	return fleet.DatasetRef{Name: d.info.Name, Hash: d.hash, M: d.m}
 }
@@ -259,6 +193,6 @@ func (s *Server) fleetRef(d *dataset) fleet.DatasetRef {
 func (s *Server) fleetParams(p params) fleet.Params {
 	return fleet.Params{
 		ThresholdPercent: p.threshold, MinSupport: p.minSupport,
-		Prefilter: p.prefilter, Workers: p.workers,
+		Workers: p.workers,
 	}
 }

@@ -350,7 +350,7 @@ func TestFleetShardEndpoint(t *testing.T) {
 		{func(tk *fleet.Task) { tk.Hash = "deadbeef" }, http.StatusConflict},
 		{func(tk *fleet.Task) { tk.Dataset = "nope" }, http.StatusNotFound},
 		{func(tk *fleet.Task) { tk.ColHi = 99 }, http.StatusBadRequest},
-		{func(tk *fleet.Task) { tk.Mode = "imp"; tk.Prefilter = true }, http.StatusBadRequest},
+		{func(tk *fleet.Task) { tk.Mode = "rank" }, http.StatusBadRequest},
 	} {
 		bad := task
 		tc.mut(&bad)

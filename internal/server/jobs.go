@@ -31,7 +31,6 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/jobs"
-	"dmc/internal/rules"
 	"dmc/internal/stream"
 )
 
@@ -149,8 +148,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "parsing job request: %v", err)
 		return
 	}
-	d, ok := s.getFor(tenant, p.Dataset)
-	if !ok {
+	if _, ok := s.getFor(tenant, p.Dataset); !ok {
 		writeErr(w, r, http.StatusNotFound, "no dataset %q", p.Dataset)
 		return
 	}
@@ -161,16 +159,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if p.MinSupport < 0 {
 		writeErr(w, r, http.StatusBadRequest, "minsupport must be >= 0")
 		return
-	}
-	if p.Prefilter {
-		if p.Pipeline != "sim" {
-			writeErr(w, r, http.StatusBadRequest, "prefilter applies to similarity mining only")
-			return
-		}
-		if d.m == nil {
-			writeErr(w, r, http.StatusBadRequest, "dataset %q is file-backed (streamed); prefilter needs a resident dataset", p.Dataset)
-			return
-		}
 	}
 	if q := s.cfg.TenantQuota; q.MaxJobs > 0 && s.jm.Active(tenant) >= q.MaxJobs {
 		s.metrics.tenantRejects.With(tenant, "jobs").Inc()
@@ -339,53 +327,37 @@ func (s *Server) runJob(ctx context.Context, j jobs.Job, env jobs.RunEnv) ([]byt
 		Ctx:            ctx,
 		Hooks:          s.jobHooks(j, env),
 	}
-	thr := core.FromPercent(j.Params.Threshold)
-	var payload bytes.Buffer
-	var nrules int
 	switch j.Params.Pipeline {
 	case "imp":
-		var rs []rules.Implication
-		var st core.Stats
-		var err error
-		if d.m == nil {
-			rs, st, err = s.mineImpFile(d.path, thr, opts, s.jobStreamCfg(j, env, ctx))
-		} else {
-			rs, st, err = s.mineImpMem(d.m, thr, opts, j.Params.Workers)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		s.recordMine("imp", st)
-		rules.SortImplications(rs)
-		if err := rules.WriteImplications(&payload, rs); err != nil {
-			return nil, 0, err
-		}
-		nrules = len(rs)
+		return runJobMine(s, &s.imps, d, j, env, opts)
 	case "sim":
-		if j.Params.Prefilter {
-			opts.Prefilter = &core.PrefilterOptions{}
-		}
-		var rs []rules.Similarity
-		var st core.Stats
-		var err error
-		if d.m == nil {
-			rs, st, err = s.mineSimFile(d.path, thr, opts, s.jobStreamCfg(j, env, ctx))
-		} else {
-			rs, st, err = s.mineSimMem(d.m, thr, opts, j.Params.Workers)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		s.recordMine("sim", st)
-		rules.SortSimilarities(rs)
-		if err := rules.WriteSimilarities(&payload, rs); err != nil {
-			return nil, 0, err
-		}
-		nrules = len(rs)
-	default:
-		return nil, 0, fmt.Errorf("unknown pipeline %q", j.Params.Pipeline)
+		return runJobMine(s, &s.sims, d, j, env, opts)
 	}
-	return payload.Bytes(), nrules, nil
+	return nil, 0, fmt.Errorf("unknown pipeline %q", j.Params.Pipeline)
+}
+
+// runJobMine mines d for job j with pl's engines and renders the
+// canonically sorted payload.
+func runJobMine[R, W any](s *Server, pl *pipeline[R, W], d *dataset, j jobs.Job, env jobs.RunEnv, opts core.Options) ([]byte, int, error) {
+	thr := core.FromPercent(j.Params.Threshold)
+	var rs []R
+	var st core.Stats
+	var err error
+	if d.m == nil {
+		rs, st, err = pl.file(d.path, thr, opts, s.jobStreamCfg(j, env, opts.Ctx))
+	} else {
+		rs, st, err = mineMem(s, pl, d.m, thr, opts, j.Params.Workers)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	s.recordMine(pl.name, st)
+	pl.canon(rs)
+	var payload bytes.Buffer
+	if err := pl.write(&payload, rs); err != nil {
+		return nil, 0, err
+	}
+	return payload.Bytes(), len(rs), nil
 }
 
 // jobStreamCfg is streamCfg plus the job's checkpoint wiring: the

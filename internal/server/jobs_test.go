@@ -173,7 +173,7 @@ func TestJobSubmitValidationHTTP(t *testing.T) {
 func slowJobsServer(t *testing.T, cfg Config, d time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
 	s, ts := jobsServer(t, cfg)
-	s.mineImp = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
 		select {
 		case <-time.After(d):
 		case <-o.Ctx.Done():
@@ -270,7 +270,7 @@ func TestSSESlowReaderDropped(t *testing.T) {
 	s, ts := jobsServer(t, Config{})
 	// A mine that floods the hub with far more phase events than any
 	// subscriber buffer holds.
-	s.mineImp = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
 		for i := 0; i < 500; i++ {
 			o.Hooks.OnPhase("imp", fmt.Sprintf("phase-%d", i), time.Millisecond)
 		}

@@ -1,0 +1,304 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net/http"
+	"sort"
+	"time"
+
+	"dmc/internal/cache"
+	"dmc/internal/core"
+	"dmc/internal/fleet"
+	"dmc/internal/matrix"
+	"dmc/internal/rules"
+	"dmc/internal/stream"
+)
+
+// pipeline is one rule family's route through the serving layer: the
+// engines that mine it, the codec its cache entries and fleet payloads
+// use, and its wire form. impPipeline and simPipeline are its two
+// values; each Server holds its own copy so tests can swap engines.
+type pipeline[R, W any] struct {
+	// name is the family's metrics label, cache family and job pipeline.
+	name string
+	// resident mines an in-memory matrix: workers 1 runs the serial
+	// engine, anything else the §7 column-partitioned engine (0 = one
+	// worker per CPU). Cancellation and budget overflow (SourceError
+	// panics) surface as errors via core.CapturePass. file streams a
+	// file-backed dataset from disk through the out-of-core engine.
+	resident func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
+	file     func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]R, core.Stats, error)
+	fleet    func(c *fleet.Coordinator, ctx context.Context, ds fleet.DatasetRef, p fleet.Params) ([]R, fleet.Stats, error)
+	derive   func(inc *core.Incremental, t core.Threshold, o core.Options) []R
+	read     func(io.Reader) ([]R, error)
+	write    func(io.Writer, []R) error
+	// canon sorts into the canonical id order that cache entries and
+	// fleet payloads are written in; wireSort into the response order.
+	canon    func([]R)
+	wireSort func([]R)
+	wire     func(label func(matrix.Col) string, r R) W
+}
+
+var impPipeline = pipeline[rules.Implication, ImplicationWire]{
+	name:     "imp",
+	resident: residentEngine(core.DMCImp, core.DMCImpParallel),
+	file:     stream.MineImplicationsCfg,
+	fleet:    (*fleet.Coordinator).MineImplications,
+	derive:   (*core.Incremental).Implications,
+	read:     rules.ReadImplications,
+	write:    rules.WriteImplications,
+	canon:    rules.SortImplications,
+	// Confidence descending, then column ids.
+	wireSort: func(rs []rules.Implication) {
+		sort.Slice(rs, func(i, j int) bool {
+			if rs[i].Confidence() != rs[j].Confidence() {
+				return rs[i].Confidence() > rs[j].Confidence()
+			}
+			if rs[i].From != rs[j].From {
+				return rs[i].From < rs[j].From
+			}
+			return rs[i].To < rs[j].To
+		})
+	},
+	wire: func(label func(matrix.Col) string, r rules.Implication) ImplicationWire {
+		return ImplicationWire{
+			From: label(r.From), To: label(r.To),
+			Confidence: r.Confidence(), Hits: r.Hits, Ones: r.Ones,
+		}
+	},
+}
+
+var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
+	name:     "sim",
+	resident: residentEngine(core.DMCSim, core.DMCSimParallel),
+	file:     stream.MineSimilaritiesCfg,
+	fleet:    (*fleet.Coordinator).MineSimilarities,
+	derive:   (*core.Incremental).Similarities,
+	read:     rules.ReadSimilarities,
+	write:    rules.WriteSimilarities,
+	canon:    rules.SortSimilarities,
+	// Pairs come back rank-ordered — the rarer column first, ids breaking
+	// ties — regardless of which engine produced them: scan engines emit
+	// that orientation natively, but cached payloads and snapshot
+	// derivations are canonicalized by column id, so re-orient here. Then
+	// similarity descending, then column ids.
+	wireSort: func(rs []rules.Similarity) {
+		for i := range rs {
+			if rs[i].OnesB < rs[i].OnesA || (rs[i].OnesB == rs[i].OnesA && rs[i].B < rs[i].A) {
+				rs[i].A, rs[i].B = rs[i].B, rs[i].A
+				rs[i].OnesA, rs[i].OnesB = rs[i].OnesB, rs[i].OnesA
+			}
+		}
+		sort.Slice(rs, func(i, j int) bool {
+			if rs[i].Value() != rs[j].Value() {
+				return rs[i].Value() > rs[j].Value()
+			}
+			if rs[i].A != rs[j].A {
+				return rs[i].A < rs[j].A
+			}
+			return rs[i].B < rs[j].B
+		})
+	},
+	wire: func(label func(matrix.Col) string, r rules.Similarity) SimilarityWire {
+		return SimilarityWire{
+			A: label(r.A), B: label(r.B),
+			Similarity: r.Value(), Hits: r.Hits, OnesA: r.OnesA, OnesB: r.OnesB,
+		}
+	},
+}
+
+// residentEngine is the serial-vs-parallel choice behind
+// pipeline.resident.
+func residentEngine[R any](serial func(*matrix.Matrix, core.Threshold, core.Options) ([]R, core.Stats),
+	parallel func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats)) func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats, error) {
+	return func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
+		var rs []R
+		var st core.Stats
+		err := core.CapturePass(func() {
+			if workers == 1 {
+				rs, st = serial(m, t, o)
+			} else {
+				rs, st = parallel(m, t, o, workers)
+			}
+		})
+		return rs, st, err
+	}
+}
+
+// handleMine serves GET /v1/datasets/{name}/implications and
+// /similarities down one ladder: the result cache, then the snapshot
+// derivation, then a fleet scatter (?fleet=1) or a local scan, caching
+// whatever was mined. The response renders in pl's deterministic wire
+// order, so a cached or incremental replay is byte-identical to the
+// full scan it stands in for.
+func handleMine[R, W any](s *Server, pl *pipeline[R, W]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		tenant, ok := s.tenantOf(w, r)
+		if !ok {
+			return
+		}
+		d, ok := s.getFor(tenant, name)
+		if !ok {
+			writeErr(w, r, http.StatusNotFound, "no dataset %q", name)
+			return
+		}
+		p, err := mineParams(r)
+		if err != nil {
+			writeErr(w, r, http.StatusBadRequest, "%v", err)
+			return
+		}
+		start := time.Now()
+		source := "cache"
+		rs, ok := cachedRules(s, pl, d, p)
+		if !ok {
+			source = ""
+			if inc, ok := s.snapshot(d); ok {
+				// Derive from the resumable counters — O(pairs), no scan, no
+				// admission slot — then cache the result for O(1) repeats.
+				rs = pl.derive(inc, core.FromPercent(p.threshold), core.Options{MinSupport: p.minSupport})
+				source = "incremental"
+				s.metrics.incMines.With(pl.name).Inc()
+				storeRules(s, pl, d, p, rs)
+			}
+		}
+		var st core.Stats
+		if source == "" {
+			if p.fleet {
+				if !s.fleetReady(w, r, d) {
+					return
+				}
+				rs, st, ok = runMine(s, w, r, pl.name+"-fleet", func(ctx context.Context) ([]R, core.Stats, error) {
+					return mineFleet(ctx, s, pl, d, p)
+				})
+				source = "fleet"
+			} else {
+				rs, st, ok = mineLocal(s, w, r, pl, pl.name, d, p)
+			}
+			if !ok {
+				return
+			}
+			storeRules(s, pl, d, p, rs)
+		}
+		elapsed := st.Total
+		if source != "" {
+			elapsed = time.Since(start)
+		}
+		pl.wireSort(rs)
+		resp := MineResponse[W]{
+			Dataset: name, Threshold: p.threshold, Total: len(rs), ElapsedMS: elapsed.Milliseconds(),
+			Source: source,
+		}
+		for i, rule := range rs {
+			if i == p.limit {
+				resp.Truncated = true
+				break
+			}
+			resp.Rules = append(resp.Rules, pl.wire(d.label, rule))
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// mineLocal mines d on this node under admission control (runMine,
+// counted under label): file-backed datasets stream through pl.file,
+// resident ones run the degrade ladder of mineMem.
+func mineLocal[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *pipeline[R, W], label string, d *dataset, p params) ([]R, core.Stats, bool) {
+	opts := core.Options{MinSupport: p.minSupport, Hooks: s.hooks, MemBudgetBytes: s.cfg.MemBudgetBytes, Shard: p.shard}
+	return runMine(s, w, r, label, func(ctx context.Context) ([]R, core.Stats, error) {
+		opts := opts
+		opts.Ctx = ctx
+		if d.m == nil {
+			return pl.file(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
+		}
+		return mineMem(s, pl, d.m, core.FromPercent(p.threshold), opts, p.workers)
+	})
+}
+
+// mineMem mines a resident dataset with two degrade paths into the
+// partitioned out-of-core engine, whose density-bucket re-ordering and
+// disk-backed passes are exactly the paper's answer to counter arrays
+// that outgrow memory:
+//
+//   - brownout: when the admission ledger says this mine would push the
+//     resident-mine footprint past Config.BrownoutBytes, it runs out of
+//     core from the start instead of being rejected;
+//   - budget overflow: a *core.BudgetError from the resident pipeline
+//     spills the matrix and re-mines it out of core.
+//
+// Both paths count on dmc_mines_degraded_total.
+func mineMem[R, W any](s *Server, pl *pipeline[R, W], m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
+	var berr error // the budget overflow that triggered the degrade, if any
+	relMem, brownout := s.admitResident(residentFootprint(m))
+	if !brownout {
+		defer relMem()
+		rs, st, err := pl.resident(m, t, o, workers)
+		if err == nil {
+			return rs, st, nil
+		}
+		if !isBudgetErr(err) {
+			return nil, st, s.noteCancelled(err)
+		}
+		berr = err
+	}
+	path, cleanup, serr := spillResident(m, s.scratchDir())
+	if serr != nil {
+		// Keep the triggering budget error in the chain (nil on the
+		// brownout path): the client must see that the mine overflowed
+		// its budget, not just that the fallback's spill failed.
+		return nil, core.Stats{}, errors.Join(berr, serr)
+	}
+	defer cleanup()
+	s.metrics.degraded.Inc()
+	return pl.file(path, t, o, s.streamCfg(workers, o.Ctx))
+}
+
+// mineFleet scatters a mine across the fleet and gathers the exact
+// single-node rule set.
+func mineFleet[R, W any](ctx context.Context, s *Server, pl *pipeline[R, W], d *dataset, p params) ([]R, core.Stats, error) {
+	start := time.Now()
+	rs, _, err := pl.fleet(s.cfg.Fleet, ctx, s.fleetRef(d), s.fleetParams(p))
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return rs, core.Stats{NumRules: len(rs), Total: time.Since(start)}, nil
+}
+
+// cachedRules returns the cached rule set for (d, p), if any.
+func cachedRules[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params) ([]R, bool) {
+	hash, ok := s.cacheable(d)
+	if !ok {
+		return nil, false
+	}
+	key := cache.Key(hash, pl.name, p.paramsKey())
+	payload, ok := s.rc.Get(key)
+	if !ok {
+		return nil, false
+	}
+	rs, err := pl.read(bytes.NewReader(payload))
+	if err != nil {
+		// A payload that frames as valid but does not parse is foreign
+		// damage; drop it and re-derive.
+		s.rc.Remove(key)
+		return nil, false
+	}
+	return rs, true
+}
+
+// storeRules caches a freshly derived rule set for (d, p), sorting rs
+// into canonical order in place. Failures are deliberately swallowed:
+// caching is an optimization and the response is already correct.
+func storeRules[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, rs []R) {
+	hash, ok := s.cacheable(d)
+	if !ok {
+		return
+	}
+	pl.canon(rs)
+	var b bytes.Buffer
+	if pl.write(&b, rs) == nil {
+		_ = s.rc.Put(cache.Key(hash, pl.name, p.paramsKey()), b.Bytes())
+	}
+}

@@ -213,8 +213,6 @@ type serverMetrics struct {
 	datasets  obs.Gauge
 	incMines  *obs.CounterVec // pipeline
 	appends   obs.Counter
-	prefCand  obs.Counter
-	prefPrune obs.Counter
 
 	tenantDatasets *obs.GaugeVec   // tenant
 	tenantBytes    *obs.GaugeVec   // tenant
@@ -257,10 +255,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Mines answered by deriving rules from a resumable snapshot instead of scanning.", "pipeline"),
 		appends: reg.Counter("dmc_dataset_appends_total",
 			"Row-append requests applied to datasets."),
-		prefCand: reg.Counter("dmc_prefilter_candidates_total",
-			"Column pairs kept by the LSH prefilter across prefiltered mines."),
-		prefPrune: reg.Counter("dmc_prefilter_pruned_total",
-			"Column pairs dropped by the LSH prefilter across prefiltered mines."),
 		tenantDatasets: reg.GaugeVec("dmc_tenant_datasets",
 			"Datasets owned per tenant namespace.", "tenant"),
 		tenantBytes: reg.GaugeVec("dmc_tenant_bytes",
@@ -328,17 +322,9 @@ type Server struct {
 	draining atomic.Bool
 	resident atomic.Int64 // brownout ledger: bytes of resident mines running
 
-	// Mining entry points, swappable by tests. workers routes between
-	// the serial and parallel pipelines: 1 is serial, anything else is
-	// the §7 column-partitioned engine (0 = one worker per CPU). The
-	// File variants stream a file-backed dataset from disk with the
-	// same worker fan-out. The in-memory variants surface cancellation
-	// and budget overflow (SourceError panics) as errors via
-	// core.CapturePass.
-	mineImp     func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]rules.Implication, core.Stats, error)
-	mineSim     func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]rules.Similarity, core.Stats, error)
-	mineImpFile func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]rules.Implication, core.Stats, error)
-	mineSimFile func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]rules.Similarity, core.Stats, error)
+	// The two rule families' pipelines; tests swap their engines.
+	imps pipeline[rules.Implication, ImplicationWire]
+	sims pipeline[rules.Similarity, SimilarityWire]
 }
 
 // New returns an empty server with the default Config.
@@ -350,32 +336,8 @@ func NewWith(cfg Config) *Server {
 		datasets: make(map[string]*dataset),
 		cfg:      cfg,
 		metrics:  newServerMetrics(cfg.registry()),
-		mineImp: func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]rules.Implication, core.Stats, error) {
-			var rs []rules.Implication
-			var st core.Stats
-			err := core.CapturePass(func() {
-				if workers == 1 {
-					rs, st = core.DMCImp(m, t, o)
-				} else {
-					rs, st = core.DMCImpParallel(m, t, o, workers)
-				}
-			})
-			return rs, st, err
-		},
-		mineSim: func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]rules.Similarity, core.Stats, error) {
-			var rs []rules.Similarity
-			var st core.Stats
-			err := core.CapturePass(func() {
-				if workers == 1 {
-					rs, st = core.DMCSim(m, t, o)
-				} else {
-					rs, st = core.DMCSimParallel(m, t, o, workers)
-				}
-			})
-			return rs, st, err
-		},
-		mineImpFile: stream.MineImplicationsCfg,
-		mineSimFile: stream.MineSimilaritiesCfg,
+		imps:     impPipeline,
+		sims:     simPipeline,
 	}
 	s.adm = newAdmission(cfg.MaxConcurrentMines, cfg.MaxQueueDepth, cfg.TenantWeights)
 	s.st = cfg.Store
@@ -559,8 +521,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/datasets/{name}", s.handleDescribe)
 	mux.HandleFunc("DELETE /v1/datasets/{name}", s.handleDelete)
 	mux.HandleFunc("POST /v1/datasets/{name}/rows", s.handleAppend)
-	mux.HandleFunc("GET /v1/datasets/{name}/implications", s.handleImplications)
-	mux.HandleFunc("GET /v1/datasets/{name}/similarities", s.handleSimilarities)
+	mux.HandleFunc("GET /v1/datasets/{name}/implications", handleMine(s, &s.imps))
+	mux.HandleFunc("GET /v1/datasets/{name}/similarities", handleMine(s, &s.sims))
 	mux.HandleFunc("GET /v1/datasets/{name}/expand", s.handleExpand)
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
@@ -939,73 +901,6 @@ func (s *Server) streamCfg(workers int, ctx context.Context) stream.Config {
 	return stream.Config{Workers: workers, Ctx: ctx, TmpDir: s.scratchDir()}
 }
 
-// mineImpMem mines a resident dataset with two degrade paths into the
-// partitioned out-of-core engine, whose density-bucket re-ordering and
-// disk-backed passes are exactly the paper's answer to counter arrays
-// that outgrow memory:
-//
-//   - brownout: when the admission ledger says this mine would push the
-//     resident-mine footprint past Config.BrownoutBytes, it runs out of
-//     core from the start instead of being rejected;
-//   - budget overflow: a *core.BudgetError from the resident pipeline
-//     spills the matrix and re-mines it out of core.
-//
-// Both paths count on dmc_mines_degraded_total.
-func (s *Server) mineImpMem(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]rules.Implication, core.Stats, error) {
-	var berr error // the budget overflow that triggered the degrade, if any
-	relMem, brownout := s.admitResident(residentFootprint(m))
-	if !brownout {
-		defer relMem()
-		rs, st, err := s.mineImp(m, t, o, workers)
-		if err == nil {
-			return rs, st, nil
-		}
-		if !isBudgetErr(err) {
-			return nil, st, s.noteCancelled(err)
-		}
-		berr = err
-	}
-	path, cleanup, serr := spillResident(m, s.scratchDir())
-	if serr != nil {
-		// Keep the triggering budget error in the chain (nil on the
-		// brownout path): the client must see that the mine overflowed
-		// its budget, not just that the fallback's spill failed.
-		return nil, core.Stats{}, errors.Join(berr, serr)
-	}
-	defer cleanup()
-	s.metrics.degraded.Inc()
-	return s.mineImpFile(path, t, o, s.streamCfg(workers, o.Ctx))
-}
-
-// mineSimMem is mineImpMem for similarity rules.
-// mineSimMem runs a resident similarity mine, degrading to the
-// out-of-core engine on budget overflow. The degraded path streams from
-// disk and therefore ignores o.Prefilter — it returns the full exact
-// rule set, a superset of the prefiltered one, which the prefilter
-// contract permits (the sketch may only cut work, never promise cuts).
-func (s *Server) mineSimMem(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]rules.Similarity, core.Stats, error) {
-	var berr error
-	relMem, brownout := s.admitResident(residentFootprint(m))
-	if !brownout {
-		defer relMem()
-		rs, st, err := s.mineSim(m, t, o, workers)
-		if err == nil {
-			return rs, st, nil
-		}
-		if !isBudgetErr(err) {
-			return nil, st, s.noteCancelled(err)
-		}
-		berr = err
-	}
-	path, cleanup, serr := spillResident(m, s.scratchDir())
-	if serr != nil {
-		return nil, core.Stats{}, errors.Join(berr, serr)
-	}
-	defer cleanup()
-	s.metrics.degraded.Inc()
-	return s.mineSimFile(path, t, o, s.streamCfg(workers, o.Ctx))
-}
-
 // spillResident saves a resident matrix to a temp binary file under
 // dir ("" = OS temp) for the degrade-to-disk path; cleanup removes it.
 func spillResident(m *matrix.Matrix, dir string) (string, func(), error) {
@@ -1030,8 +925,6 @@ func (s *Server) recordMine(pipeline string, st core.Stats) {
 	m.candAdd.Add(int64(st.CandidatesAdded))
 	m.candDel.Add(int64(st.CandidatesDeleted))
 	m.peakBytes.Max(int64(st.PeakCounterBytes))
-	m.prefCand.Add(int64(st.PrefilterCandidates))
-	m.prefPrune.Add(int64(st.PrefilterPruned))
 }
 
 // ImplicationWire is the wire form of an implication rule.
@@ -1057,107 +950,6 @@ type MineResponse[R any] struct {
 	Rules     []R    `json:"rules"`
 }
 
-func (s *Server) handleImplications(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	d, ok := s.getFor(tenant, name)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, "no dataset %q", name)
-		return
-	}
-	p, err := mineParams(r)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if p.prefilter {
-		// Confidence is not bounded by Jaccard similarity: a 100%-confident
-		// rule can pair columns with arbitrarily low resemblance, so an LSH
-		// sketch has no license to drop pairs here.
-		writeErr(w, r, http.StatusBadRequest, "prefilter applies to similarity mining only")
-		return
-	}
-	start := time.Now()
-	var source string
-	rs, cached := s.cachedImps(d, p)
-	if !cached {
-		if inc, ok := s.snapshot(d); ok {
-			// Derive from the resumable counters — O(pairs), no scan, no
-			// admission slot — then cache the result for O(1) repeats.
-			rs = inc.Implications(core.FromPercent(p.threshold), core.Options{MinSupport: p.minSupport})
-			source = "incremental"
-			s.metrics.incMines.With("imp").Inc()
-			s.storeImps(d, p, rs)
-		}
-	} else {
-		source = "cache"
-	}
-	var st core.Stats
-	if source == "" && p.fleet {
-		if !s.fleetReady(w, r, d) {
-			return
-		}
-		var ok bool
-		rs, st, ok = runMine(s, w, r, "imp-fleet", func(ctx context.Context) ([]rules.Implication, core.Stats, error) {
-			return s.mineImpFleet(ctx, d, p)
-		})
-		if !ok {
-			return
-		}
-		source = "fleet"
-		s.storeImps(d, p, rs)
-	} else if source == "" {
-		opts := core.Options{MinSupport: p.minSupport, Hooks: s.hooks, MemBudgetBytes: s.cfg.MemBudgetBytes}
-		var ok bool
-		rs, st, ok = runMine(s, w, r, "imp", func(ctx context.Context) ([]rules.Implication, core.Stats, error) {
-			opts := opts
-			opts.Ctx = ctx
-			if d.m == nil {
-				return s.mineImpFile(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
-			}
-			return s.mineImpMem(d.m, core.FromPercent(p.threshold), opts, p.workers)
-		})
-		if !ok {
-			return
-		}
-		s.storeImps(d, p, rs)
-	}
-	elapsed := st.Total
-	if source != "" {
-		elapsed = time.Since(start)
-	}
-	// Deterministic wire order: confidence descending, then column ids —
-	// a cached or incremental replay must render byte-identically to the
-	// full scan it stands in for.
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Confidence() != rs[j].Confidence() {
-			return rs[i].Confidence() > rs[j].Confidence()
-		}
-		if rs[i].From != rs[j].From {
-			return rs[i].From < rs[j].From
-		}
-		return rs[i].To < rs[j].To
-	})
-	resp := MineResponse[ImplicationWire]{
-		Dataset: name, Threshold: p.threshold, Total: len(rs), ElapsedMS: elapsed.Milliseconds(),
-		Source: source,
-	}
-	for i, rule := range rs {
-		if i == p.limit {
-			resp.Truncated = true
-			break
-		}
-		resp.Rules = append(resp.Rules, ImplicationWire{
-			From: d.label(rule.From), To: d.label(rule.To),
-			Confidence: rule.Confidence(), Hits: rule.Hits, Ones: rule.Ones,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // SimilarityWire is the wire form of a similarity rule.
 type SimilarityWire struct {
 	A          string  `json:"a"`
@@ -1166,119 +958,6 @@ type SimilarityWire struct {
 	Hits       int     `json:"hits"`
 	OnesA      int     `json:"ones_a"`
 	OnesB      int     `json:"ones_b"`
-}
-
-func (s *Server) handleSimilarities(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	tenant, ok := s.tenantOf(w, r)
-	if !ok {
-		return
-	}
-	d, ok := s.getFor(tenant, name)
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, "no dataset %q", name)
-		return
-	}
-	p, err := mineParams(r)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if p.prefilter && d.m == nil {
-		// The sketch pass signs columns of a resident matrix; the streamed
-		// engine never materializes one.
-		writeErr(w, r, http.StatusBadRequest, "dataset %q is file-backed (streamed); prefilter needs a resident dataset", name)
-		return
-	}
-	start := time.Now()
-	var source string
-	rs, cached := s.cachedSims(d, p)
-	if !cached && !p.prefilter {
-		// The snapshot derivation replays the exact counters; a prefiltered
-		// request asks for the sketch-pruned pipeline, so it must actually
-		// run it (the cache rung above is fine: its key carries the flag).
-		if inc, ok := s.snapshot(d); ok {
-			rs = inc.Similarities(core.FromPercent(p.threshold), core.Options{MinSupport: p.minSupport})
-			source = "incremental"
-			s.metrics.incMines.With("sim").Inc()
-			s.storeSims(d, p, rs)
-		}
-	} else if cached {
-		source = "cache"
-	}
-	var st core.Stats
-	if source == "" && p.fleet {
-		if !s.fleetReady(w, r, d) {
-			return
-		}
-		var ok bool
-		rs, st, ok = runMine(s, w, r, "sim-fleet", func(ctx context.Context) ([]rules.Similarity, core.Stats, error) {
-			return s.mineSimFleet(ctx, d, p)
-		})
-		if !ok {
-			return
-		}
-		source = "fleet"
-		s.storeSims(d, p, rs)
-	} else if source == "" {
-		opts := core.Options{MinSupport: p.minSupport, Hooks: s.hooks, MemBudgetBytes: s.cfg.MemBudgetBytes}
-		if p.prefilter {
-			opts.Prefilter = &core.PrefilterOptions{}
-		}
-		var ok bool
-		rs, st, ok = runMine(s, w, r, "sim", func(ctx context.Context) ([]rules.Similarity, core.Stats, error) {
-			opts := opts
-			opts.Ctx = ctx
-			if d.m == nil {
-				return s.mineSimFile(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
-			}
-			return s.mineSimMem(d.m, core.FromPercent(p.threshold), opts, p.workers)
-		})
-		if !ok {
-			return
-		}
-		s.storeSims(d, p, rs)
-	}
-	elapsed := st.Total
-	if source != "" {
-		elapsed = time.Since(start)
-	}
-	// The wire contract pairs come back rank-ordered — the rarer column
-	// first, ids breaking ties — regardless of which engine produced the
-	// rules: scan engines emit that orientation natively, but cached
-	// payloads and snapshot derivations are canonicalized by column id,
-	// so re-orient here. Then sort deterministically so a replayed
-	// result renders byte-identically to the scan it stands in for.
-	for i := range rs {
-		if rs[i].OnesB < rs[i].OnesA || (rs[i].OnesB == rs[i].OnesA && rs[i].B < rs[i].A) {
-			rs[i].A, rs[i].B = rs[i].B, rs[i].A
-			rs[i].OnesA, rs[i].OnesB = rs[i].OnesB, rs[i].OnesA
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Value() != rs[j].Value() {
-			return rs[i].Value() > rs[j].Value()
-		}
-		if rs[i].A != rs[j].A {
-			return rs[i].A < rs[j].A
-		}
-		return rs[i].B < rs[j].B
-	})
-	resp := MineResponse[SimilarityWire]{
-		Dataset: name, Threshold: p.threshold, Total: len(rs), ElapsedMS: elapsed.Milliseconds(),
-		Source: source,
-	}
-	for i, rule := range rs {
-		if i == p.limit {
-			resp.Truncated = true
-			break
-		}
-		resp.Rules = append(resp.Rules, SimilarityWire{
-			A: d.label(rule.A), B: d.label(rule.B),
-			Similarity: rule.Value(), Hits: rule.Hits, OnesA: rule.OnesA, OnesB: rule.OnesB,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ExpandGroupWire is one antecedent's rules in an expansion response.
@@ -1326,10 +1005,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "depth must be -1 (unlimited) or >= 0")
 		return
 	}
-	rs, _, ok := runMine(s, w, r, "imp", func(ctx context.Context) ([]rules.Implication, core.Stats, error) {
-		opts := core.Options{MinSupport: p.minSupport, Hooks: s.hooks, MemBudgetBytes: s.cfg.MemBudgetBytes, Ctx: ctx}
-		return s.mineImpMem(m, core.FromPercent(p.threshold), opts, p.workers)
-	})
+	rs, _, ok := mineLocal(s, w, r, &s.imps, s.imps.name, d, p)
 	if !ok {
 		return
 	}
@@ -1342,10 +1018,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	for _, g := range groups {
 		gw := ExpandGroupWire{From: m.Label(g.From)}
 		for _, rule := range g.Rules {
-			gw.Rules = append(gw.Rules, ImplicationWire{
-				From: m.Label(rule.From), To: m.Label(rule.To),
-				Confidence: rule.Confidence(), Hits: rule.Hits, Ones: rule.Ones,
-			})
+			gw.Rules = append(gw.Rules, s.imps.wire(m.Label, rule))
 		}
 		out = append(out, gw)
 	}
@@ -1357,7 +1030,6 @@ type params struct {
 	minSupport int
 	limit      int
 	workers    int
-	prefilter  bool
 	fleet      bool
 	// shard is set only by the fleet shard handler: it restricts rule
 	// ownership to a column range and — via paramsKey — keys the cache
@@ -1395,9 +1067,6 @@ func mineParams(r *http.Request) (params, error) {
 	}
 	if p.workers < 0 || p.workers > maxWorkers {
 		return p, fmt.Errorf("workers %d outside [0,%d] (0 = one per CPU)", p.workers, maxWorkers)
-	}
-	if p.prefilter, err = boolParam(r, "prefilter"); err != nil {
-		return p, err
 	}
 	if p.fleet, err = boolParam(r, "fleet"); err != nil {
 		return p, err

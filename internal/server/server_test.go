@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -192,9 +193,9 @@ func TestLoadDir(t *testing.T) {
 
 // TestStreamedDataset covers the file-backed serving path: LoadDir with
 // StreamMinBytes registers a big matrix file without loading it, mining
-// endpoints stream it from disk (any worker count) with the same rules
-// as an in-memory mine, and expansion — which needs labels — is
-// rejected with a 400.
+// endpoints stream it from disk (any worker count) and render rules
+// byte-identical to an in-memory mine for both families, and expansion
+// — which needs labels — is rejected with a 400.
 func TestStreamedDataset(t *testing.T) {
 	dir := t.TempDir()
 	m := matrix.FromRows(6, [][]matrix.Col{
@@ -222,18 +223,18 @@ func TestStreamedDataset(t *testing.T) {
 		t.Fatalf("big info = %+v", big)
 	}
 
-	var mem, streamed MineResponse[ImplicationWire]
-	getJSON(t, ts.URL+"/v1/datasets/mem/implications?threshold=75", http.StatusOK, &mem)
-	for _, w := range []string{"1", "2"} {
-		getJSON(t, ts.URL+"/v1/datasets/big/implications?threshold=75&workers="+w, http.StatusOK, &streamed)
-		if streamed.Total != mem.Total {
-			t.Fatalf("workers=%s: streamed %d rules, in-memory %d", w, streamed.Total, mem.Total)
+	for _, family := range []string{"implications", "similarities"} {
+		for _, w := range []string{"1", "2"} {
+			q := "/" + family + "?threshold=60&workers=" + w
+			mem := mineRules(t, ts.URL+"/v1/datasets/mem"+q)
+			streamed := mineRules(t, ts.URL+"/v1/datasets/big"+q)
+			if string(mem) == "null" {
+				t.Fatalf("%s: in-memory mine returned no rules", q)
+			}
+			if !bytes.Equal(streamed, mem) {
+				t.Fatalf("%s: streamed rules differ from in-memory:\n%s\nvs\n%s", q, streamed, mem)
+			}
 		}
-	}
-	var sim MineResponse[SimilarityWire]
-	getJSON(t, ts.URL+"/v1/datasets/big/similarities?threshold=60&workers=2", http.StatusOK, &sim)
-	if sim.Total == 0 {
-		t.Fatal("streamed similarity mine returned no rules")
 	}
 	getJSON(t, ts.URL+"/v1/datasets/big/expand?keyword=c0", http.StatusBadRequest, nil)
 }
