@@ -5,9 +5,9 @@ GO ?= go
 # Pinned to the version CI runs; bump both together.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: ci lint fmt-check fmt vet build test race bench bench-json bench-compare fuzz-smoke fault-matrix store-crash fleet-smoke chaos-smoke jobs-crash
+.PHONY: ci lint fmt-check fmt vet build test race bench bench-json bench-compare fuzz-smoke fault-matrix store-crash fleet-smoke chaos-smoke jobs-crash loadbench-smoke
 
-ci: fmt-check vet lint build test race bench bench-compare fuzz-smoke fault-matrix store-crash fleet-smoke chaos-smoke jobs-crash
+ci: fmt-check vet lint build test race bench bench-compare fuzz-smoke fault-matrix store-crash fleet-smoke chaos-smoke jobs-crash loadbench-smoke
 
 # The same pinned staticcheck CI runs (downloads it on first use).
 lint:
@@ -111,10 +111,17 @@ chaos-smoke:
 	$(GO) test -race -run 'Chaos|Breaker|Hedge' ./internal/fleet
 
 # A short fuzzing pass over the decoders and the popcount kernels:
-# spill-codec corruption must never panic the miners, and the word
-# kernels must agree with the naive reference loops on arbitrary bit
-# patterns. Go allows one fuzz target per invocation.
+# spill-codec corruption must never panic the miners, an incremental
+# snapshot either fails to decode or re-encodes to its exact bytes, and
+# the word kernels must agree with the naive reference loops on
+# arbitrary bit patterns. Go allows one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -run=NoTests -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzReadBinary -fuzztime=5s ./internal/matrix
+	$(GO) test -run=NoTests -fuzz=FuzzDecodeIncremental -fuzztime=10s ./internal/core
 	$(GO) test -run=NoTests -fuzz=FuzzCountKernels -fuzztime=10s ./internal/bitset
+
+# The load benchmark's own tests (its own module): percentile and
+# comparison arithmetic, and a short end-to-end smoke run.
+loadbench-smoke:
+	cd loadbench && $(GO) test .

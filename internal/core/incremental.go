@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
 	"dmc/internal/matrix"
 	"dmc/internal/rules"
@@ -29,22 +29,30 @@ import (
 // both rule families and every threshold, so a single snapshot per
 // dataset answers all (threshold, minsupport, imp|sim) queries.
 //
-// The trade is memory: the state costs one 8-byte entry per
-// co-occurring pair (the counter-array model of Options), i.e. the
-// a-priori pair-counter bill that DMC's pruning avoids — paid here to
-// buy O(Δ·w²) appends and O(pairs) re-mines instead of O(n·w²) full
-// scans. Appending Δ rows touches only those rows; deriving a rule set
-// walks the counters once. Both are exact: the derived rules are
-// identical to a full DMC (or naive) re-mine of the grown matrix.
+// The trade is memory: the state costs one counter-array entry (id +
+// counter) per co-occurring pair — the a-priori pair-counter bill that
+// DMC's pruning avoids — paid here to buy O(Δ·w² + pairs) appends and
+// O(pairs) re-mines instead of O(n·w²) full scans. Appending Δ rows
+// scans only those rows; deriving a rule set walks the counters once.
+// Both are exact: the derived rules are identical to a full DMC (or
+// naive) re-mine of the grown matrix.
+//
+// The counters are that array literally: two parallel slices, keys
+// strictly increasing lo<<32|hi (lo < hi by id) and hits[i] =
+// |S_lo ∩ S_hi| for keys[i]. A batch of appended rows is tallied in a
+// scratch map, sorted once, and merged in one linear pass; the snapshot
+// codec writes and reads the arrays in key order with no sort and no
+// hashing, and Similarities comes out already in canonical order.
 //
 // An Incremental is not safe for concurrent mutation; concurrent
 // Implications/Similarities/EncodeTo calls on a state that is not being
 // appended to are safe.
 type Incremental struct {
-	cols  int
-	rows  int
-	ones  []int
-	pairs map[uint64]int32 // lo<<32|hi (lo < hi by id) -> |S_lo ∩ S_hi|
+	cols int
+	rows int
+	ones []int
+	keys []uint64 // strictly increasing lo<<32|hi, lo < hi by id
+	hits []int32  // hits[i] = |S_lo ∩ S_hi| for keys[i]
 }
 
 // NewIncremental returns empty state over cols columns; AddRow grows
@@ -53,11 +61,7 @@ func NewIncremental(cols int) *Incremental {
 	if cols < 0 {
 		panic("core: negative column count")
 	}
-	return &Incremental{
-		cols:  cols,
-		ones:  make([]int, cols),
-		pairs: make(map[uint64]int32),
-	}
+	return &Incremental{cols: cols, ones: make([]int, cols)}
 }
 
 // BuildIncremental scans m once and returns its resumable state — the
@@ -65,9 +69,7 @@ func NewIncremental(cols int) *Incremental {
 // dataset lineage.
 func BuildIncremental(m *matrix.Matrix) *Incremental {
 	inc := NewIncremental(m.NumCols())
-	for i := 0; i < m.NumRows(); i++ {
-		inc.AddRow(m.Row(i))
-	}
+	inc.AddMatrixRows(m, 0)
 	return inc
 }
 
@@ -89,30 +91,67 @@ func (inc *Incremental) Grow(cols int) {
 // be strictly increasing (the matrix invariant); the column space
 // grows to fit it.
 func (inc *Incremental) AddRow(row []matrix.Col) {
-	for i, c := range row {
-		if i > 0 && row[i-1] >= c {
-			panic(fmt.Sprintf("core: incremental row not strictly increasing at index %d", i))
-		}
-		if int(c) >= inc.cols {
-			inc.Grow(int(c) + 1)
-		}
-		inc.ones[c]++
-	}
-	inc.rows++
-	for i, a := range row {
-		for _, b := range row[i+1:] {
-			inc.pairs[pairKey(a, b)]++
-		}
-	}
+	inc.fold(1, func(int) []matrix.Col { return row })
 }
 
 // AddMatrixRows folds rows [from, m.NumRows()) of m into the state —
 // the append entry point when the grown matrix is already materialized.
 func (inc *Incremental) AddMatrixRows(m *matrix.Matrix, from int) {
 	inc.Grow(m.NumCols())
-	for i := from; i < m.NumRows(); i++ {
-		inc.AddRow(m.Row(i))
+	inc.fold(m.NumRows()-from, func(i int) []matrix.Col { return m.Row(from + i) })
+}
+
+// fold adds the n rows row(0..n-1) as one batch: their pair bumps are
+// tallied in a scratch map and merged into the sorted arrays once.
+func (inc *Incremental) fold(n int, row func(int) []matrix.Col) {
+	delta := make(map[uint64]int32)
+	for i := 0; i < n; i++ {
+		r := row(i)
+		for j, c := range r {
+			if j > 0 && r[j-1] >= c {
+				panic(fmt.Sprintf("core: incremental row not strictly increasing at index %d", j))
+			}
+			if int(c) >= inc.cols {
+				inc.Grow(int(c) + 1)
+			}
+			inc.ones[c]++
+		}
+		for j, a := range r {
+			for _, b := range r[j+1:] {
+				delta[pairKey(a, b)]++
+			}
+		}
 	}
+	inc.rows += n
+	inc.merge(delta)
+}
+
+// merge adds delta's counts into the arrays: sort the batch's keys,
+// then build the merged arrays front to back, copying the held entries
+// between two batch keys as one run.
+func (inc *Incremental) merge(delta map[uint64]int32) {
+	add := make([]uint64, 0, len(delta))
+	for k := range delta {
+		add = append(add, k)
+	}
+	slices.Sort(add)
+	n := len(inc.keys) + len(add)
+	keys, hits := make([]uint64, 0, n), make([]int32, 0, n)
+	i := 0
+	for _, k := range add {
+		p, found := slices.BinarySearch(inc.keys[i:], k)
+		keys = append(keys, inc.keys[i:i+p]...)
+		hits = append(hits, inc.hits[i:i+p]...)
+		i += p
+		h := delta[k]
+		if found {
+			h += inc.hits[i]
+			i++
+		}
+		keys, hits = append(keys, k), append(hits, h)
+	}
+	inc.keys = append(keys, inc.keys[i:]...)
+	inc.hits = append(hits, inc.hits[i:]...)
 }
 
 // Rows returns the number of transactions folded in so far.
@@ -122,11 +161,11 @@ func (inc *Incremental) Rows() int { return inc.rows }
 func (inc *Incremental) Cols() int { return inc.cols }
 
 // Pairs returns the number of live pair counters.
-func (inc *Incremental) Pairs() int { return len(inc.pairs) }
+func (inc *Incremental) Pairs() int { return len(inc.keys) }
 
 // CounterBytes reports the state's size in the paper's counter-array
 // model: one counting candidate (id + counter) per co-occurring pair.
-func (inc *Incremental) CounterBytes() int { return len(inc.pairs) * entryBytes }
+func (inc *Incremental) CounterBytes() int { return len(inc.keys) * entryBytes }
 
 // Implications derives every implication rule meeting minconf from the
 // counters — no scan, O(pairs) work. Honors Options.MinSupport exactly
@@ -139,8 +178,8 @@ func (inc *Incremental) Implications(minconf Threshold, opts Options) []rules.Im
 	alive := opts.supportMask(inc.ones)
 	rk := ranker{inc.ones}
 	var out []rules.Implication
-	for k, h := range inc.pairs {
-		a, b := matrix.Col(k>>32), matrix.Col(k&0xffffffff)
+	for i, k := range inc.keys {
+		a, b, h := matrix.Col(k>>32), matrix.Col(k&0xffffffff), inc.hits[i]
 		if alive != nil && (!alive[a] || !alive[b]) {
 			continue
 		}
@@ -158,13 +197,14 @@ func (inc *Incremental) Implications(minconf Threshold, opts Options) []rules.Im
 
 // Similarities derives every similarity rule meeting minsim from the
 // counters; see Implications for the Options contract. Rules come back
-// canonicalized (A < B) in rules.SortSimilarities order.
+// canonicalized (A < B) in rules.SortSimilarities order, which is the
+// key order itself, so no sort is needed.
 func (inc *Incremental) Similarities(minsim Threshold, opts Options) []rules.Similarity {
 	minsim.check()
 	alive := opts.supportMask(inc.ones)
 	var out []rules.Similarity
-	for k, h := range inc.pairs {
-		a, b := matrix.Col(k>>32), matrix.Col(k&0xffffffff)
+	for i, k := range inc.keys {
+		a, b, h := matrix.Col(k>>32), matrix.Col(k&0xffffffff), inc.hits[i]
 		if alive != nil && (!alive[a] || !alive[b]) {
 			continue
 		}
@@ -172,7 +212,6 @@ func (inc *Incremental) Similarities(minsim Threshold, opts Options) []rules.Sim
 			out = append(out, rules.Similarity{A: a, B: b, Hits: int(h), OnesA: inc.ones[a], OnesB: inc.ones[b]})
 		}
 	}
-	rules.SortSimilarities(out)
 	return out
 }
 
@@ -194,138 +233,140 @@ var incMagic = []byte("DMCINC01")
 // ErrIncSnapshot is wrapped by all snapshot decode failures.
 var ErrIncSnapshot = fmt.Errorf("core: bad incremental snapshot")
 
-// EncodeTo writes the state in the snapshot codec.
+// EncodeTo writes the state in the snapshot codec with one Write.
 func (inc *Incremental) EncodeTo(w io.Writer) error {
-	crc := crc32.New(crcTableInc)
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := w.Write(incMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(inc.cols)); err != nil {
-		return err
-	}
-	if err := put(uint64(inc.rows)); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, len(incMagic)+3*binary.MaxVarintLen64+2*len(inc.ones)+4*len(inc.keys)+4)
+	buf = append(buf, incMagic...)
+	buf = binary.AppendUvarint(buf, uint64(inc.cols))
+	buf = binary.AppendUvarint(buf, uint64(inc.rows))
 	for _, o := range inc.ones {
-		if err := put(uint64(o)); err != nil {
-			return err
-		}
+		buf = binary.AppendUvarint(buf, uint64(o))
 	}
-	if err := put(uint64(len(inc.pairs))); err != nil {
-		return err
-	}
-	keys := make([]uint64, 0, len(inc.pairs))
-	for k := range inc.pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	buf = binary.AppendUvarint(buf, uint64(len(inc.keys)))
 	prev := uint64(0)
-	for _, k := range keys {
-		if err := put(k - prev); err != nil {
-			return err
-		}
-		if err := put(uint64(inc.pairs[k])); err != nil {
-			return err
-		}
+	for i, k := range inc.keys {
+		buf = binary.AppendUvarint(buf, k-prev)
+		buf = binary.AppendUvarint(buf, uint64(inc.hits[i]))
 		prev = k
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	_, err := w.Write(sum[:])
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(incMagic):], crcTableInc))
+	_, err := w.Write(buf)
 	return err
 }
 
 var crcTableInc = crc32.MakeTable(crc32.Castagnoli)
 
 // DecodeIncremental reads a snapshot written by EncodeTo, verifying
-// the magic and the trailing CRC.
+// the magic and the trailing CRC. Snapshots are also files users hand
+// to dmcmine -snapshot and dmc.LoadIncrementalState, so a payload that
+// checksums but could not have come from EncodeTo — a non-minimal
+// varint, keys out of order, a pair outside the column space, a count
+// above what its columns allow — is rejected too; an accepted payload
+// re-encodes to exactly its input bytes.
 func DecodeIncremental(r io.Reader) (*Incremental, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrIncSnapshot}, args...)...)
+	}
 	if len(data) < len(incMagic)+4 || string(data[:len(incMagic)]) != string(incMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrIncSnapshot)
+		return nil, bad("bad magic")
 	}
 	body := data[len(incMagic) : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, crcTableInc) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrIncSnapshot)
+		return nil, bad("checksum mismatch")
 	}
-	br := &sliceReader{data: body}
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	cols64, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIncSnapshot, err)
+	u := uvarints{buf: body}
+	cols64, rows64 := u.next(), u.next()
+	if u.err != nil {
+		return nil, bad("%v", u.err)
 	}
-	rows64, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIncSnapshot, err)
-	}
-	// The CRC already vouches for integrity; the bounds below only keep
-	// a corrupted-but-checksummed (i.e. foreign) payload from forcing a
-	// huge allocation.
+	// Every column and every pair costs at least one and two bytes, so
+	// the body length bounds both counts before anything is allocated.
 	const maxCols = 1 << 31
-	if cols64 > maxCols {
-		return nil, fmt.Errorf("%w: column count %d", ErrIncSnapshot, cols64)
+	if cols64 > maxCols || cols64 > uint64(len(body)) {
+		return nil, bad("column count %d", cols64)
+	}
+	if rows64 > math.MaxInt {
+		return nil, bad("row count %d", rows64)
 	}
 	inc := NewIncremental(int(cols64))
 	inc.rows = int(rows64)
 	for c := range inc.ones {
-		o, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIncSnapshot, err)
+		o := u.next()
+		if o > rows64 {
+			return nil, bad("column %d: %d ones in %d rows", c, o, rows64)
 		}
 		inc.ones[c] = int(o)
 	}
-	npairs, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIncSnapshot, err)
+	npairs := u.next()
+	if u.err != nil {
+		return nil, bad("%v", u.err)
 	}
-	if npairs > uint64(len(body)) { // ≥ 2 bytes per encoded pair
-		return nil, fmt.Errorf("%w: pair count %d", ErrIncSnapshot, npairs)
+	if npairs > uint64(len(body)) {
+		return nil, bad("pair count %d", npairs)
 	}
-	inc.pairs = make(map[uint64]int32, npairs)
+	inc.keys = make([]uint64, npairs)
+	inc.hits = make([]int32, npairs)
 	key := uint64(0)
-	for i := uint64(0); i < npairs; i++ {
-		d, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIncSnapshot, err)
+	for i := range inc.keys {
+		d, h := u.next(), u.next()
+		if u.err != nil {
+			return nil, bad("%v", u.err)
 		}
-		h, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrIncSnapshot, err)
+		if i > 0 && key+d <= key {
+			return nil, bad("pair %d: keys not strictly increasing", i)
 		}
 		key += d
-		inc.pairs[key] = int32(h)
+		lo, hi := key>>32, key&0xffffffff
+		if lo >= hi || hi >= cols64 {
+			return nil, bad("pair %d: columns (%d,%d) outside %d columns", i, lo, hi, cols64)
+		}
+		if h == 0 || h > uint64(min(inc.ones[lo], inc.ones[hi])) || h > math.MaxInt32 {
+			return nil, bad("pair %d: %d hits for columns with %d and %d ones", i, h, inc.ones[lo], inc.ones[hi])
+		}
+		inc.keys[i], inc.hits[i] = key, int32(h)
 	}
-	if br.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrIncSnapshot, len(body)-br.off)
+	if u.off != len(body) {
+		return nil, bad("%d trailing bytes", len(body)-u.off)
 	}
 	return inc, nil
 }
 
-// sliceReader is the minimal io.ByteReader binary.ReadUvarint needs.
-type sliceReader struct {
-	data []byte
-	off  int
+// uvarints reads successive minimal uvarints from buf; the first
+// failure sticks in err and later reads return 0.
+type uvarints struct {
+	buf []byte
+	off int
+	err error
 }
 
-func (r *sliceReader) ReadByte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, io.ErrUnexpectedEOF
+func (u *uvarints) next() uint64 {
+	if u.off < len(u.buf) && u.buf[u.off] < 0x80 && u.err == nil {
+		u.off++
+		return uint64(u.buf[u.off-1])
 	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
+	return u.long()
+}
+
+// long is next's path for multi-byte varints, the end of the buffer and
+// the sticky error.
+func (u *uvarints) long() uint64 {
+	if u.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(u.buf[u.off:])
+	switch {
+	case n <= 0:
+		u.err = fmt.Errorf("truncated or overflowing varint at offset %d", u.off)
+		return 0
+	case n > 1 && u.buf[u.off+n-1] == 0:
+		u.err = fmt.Errorf("non-minimal varint at offset %d", u.off)
+		return 0
+	}
+	u.off += n
+	return v
 }

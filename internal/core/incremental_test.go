@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -267,11 +271,153 @@ func TestIncrementalDecodeRejectsDamage(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x40
 	cases["bit flip"] = flipped
 
+	// Checksummed foreign payloads: the CRC holds, but no EncodeTo could
+	// have written them. Each body is cols, rows, ones..., npairs, then
+	// (key delta, hits) per pair.
+	foreign := map[string][]uint64{
+		"hi beyond cols":   {2, 1, 1, 1, 1, 7, 1},
+		"lo equals hi":     {2, 1, 1, 1, 1, 1<<32 | 1, 1},
+		"lo above hi":      {2, 1, 1, 1, 1, 1 << 32, 1},
+		"key repeated":     {3, 2, 2, 2, 2, 2, 1, 1, 0, 1},
+		"key wraps around": {3, 2, 2, 2, 2, 2, 1, 1, 1<<64 - 1, 1},
+		"zero hits":        {2, 1, 1, 1, 1, 1, 0},
+		"hits above ones":  {2, 3, 3, 1, 1, 1, 2},
+		"ones above rows":  {2, 1, 2, 1, 0},
+		"pairs overflow":   {2, 1, 1, 1, 1 << 40},
+	}
+	for name, vals := range foreign {
+		cases[name] = sealIncBody(uvarintBody(vals...))
+	}
+	// 0x80 0x00 is a two-byte zero: it decodes, but re-encodes as 0x00.
+	cases["non-minimal varint"] = sealIncBody(append([]byte{0x80, 0x00}, uvarintBody(0, 0)...))
+
 	for name, data := range cases {
-		if _, err := DecodeIncremental(bytes.NewReader(data)); err == nil {
+		_, err := DecodeIncremental(bytes.NewReader(data))
+		if err == nil {
 			t.Errorf("%s: decode succeeded on damaged snapshot", name)
+		} else if name != "empty" && !errors.Is(err, ErrIncSnapshot) {
+			t.Errorf("%s: error %v does not wrap ErrIncSnapshot", name, err)
 		}
 	}
+
+	// The sealing helper itself round-trips a real snapshot, so the
+	// foreign cases above fail on their content, not on the framing.
+	if got := sealIncBody(good[len(incMagic) : len(good)-4]); !bytes.Equal(got, good) {
+		t.Fatal("sealIncBody does not reproduce an encoded snapshot")
+	}
+}
+
+// uvarintBody encodes vals as consecutive uvarints.
+func uvarintBody(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// sealIncBody frames body as a snapshot: magic, body, CRC.
+func sealIncBody(body []byte) []byte {
+	out := append(append([]byte(nil), incMagic...), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTableInc))
+}
+
+// goldenIncHex is the DMCINC01 encoding of goldenIncState, as written
+// when the state was a hash map sorted at encode time. Cached snapshots
+// and dmcmine -snapshot files in the wild hold these bytes, so the
+// encoding must never drift.
+const goldenIncHex = "444d43494e433031088801850186010402000200010a01850101020301fdffffff0f0201010202feffffff0f0102010201feffffff0f01d7fd1757"
+
+// goldenIncState covers multi-byte ones, hits and key deltas and a
+// column-space growth.
+func goldenIncState() *Incremental {
+	inc := BuildIncremental(matrix.FromRows(6, [][]matrix.Col{{0, 1, 2}, {0, 1}, {1, 3, 5}, {2, 3}, {0, 1, 2, 5}}))
+	for i := 0; i < 130; i++ {
+		inc.AddRow([]matrix.Col{0, 1})
+	}
+	inc.AddRow([]matrix.Col{2, 7})
+	return inc
+}
+
+func TestIncrementalGoldenEncoding(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenIncState().EncodeTo(&buf); err != nil {
+		t.Fatalf("EncodeTo: %v", err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != goldenIncHex {
+		t.Fatalf("encoding drifted:\ngot  %s\nwant %s", got, goldenIncHex)
+	}
+}
+
+// TestIncrementalChunkedFoldMatchesBuild folds random matrices in random
+// chunks through AddMatrixRows — including chunks that widen the column
+// space — and requires the encoding to equal BuildIncremental's of the
+// whole matrix byte for byte.
+func TestIncrementalChunkedFoldMatchesBuild(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		rng := rand.New(rand.NewSource(2000 + seed))
+		mx := randomMatrix(rng, 20+rng.Intn(200), 4+rng.Intn(40))
+		var want bytes.Buffer
+		if err := BuildIncremental(mx).EncodeTo(&want); err != nil {
+			t.Fatalf("seed %d: EncodeTo: %v", seed, err)
+		}
+
+		inc := NewIncremental(0)
+		for n := 0; n < mx.NumRows(); {
+			next := min(mx.NumRows(), n+1+rng.Intn(40))
+			width := 0
+			rows := make([][]matrix.Col, next)
+			for i := range rows {
+				rows[i] = mx.Row(i)
+				if r := rows[i]; len(r) > 0 {
+					width = max(width, int(r[len(r)-1])+1)
+				}
+			}
+			inc.AddMatrixRows(matrix.FromRows(width, rows), n)
+			n = next
+		}
+		inc.Grow(mx.NumCols())
+		var got bytes.Buffer
+		if err := inc.EncodeTo(&got); err != nil {
+			t.Fatalf("seed %d: EncodeTo: %v", seed, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("seed %d: chunked fold encodes differently from a whole build", seed)
+		}
+	}
+}
+
+// FuzzDecodeIncremental: a decode either fails or re-encodes to its
+// input bytes. Each input is tried as-is and sealed as a snapshot body
+// with a valid CRC, so the fuzzer reaches the checks past the checksum.
+func FuzzDecodeIncremental(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for _, inc := range []*Incremental{NewIncremental(0), goldenIncState(), BuildIncremental(randomMatrix(rng, 30, 10))} {
+		var buf bytes.Buffer
+		if err := inc.EncodeTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[len(incMagic) : buf.Len()-4])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, sealIncBody(data)} {
+			inc, err := DecodeIncremental(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := inc.EncodeTo(&out); err != nil {
+				t.Fatalf("EncodeTo: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), in) {
+				t.Fatalf("decoded snapshot re-encodes differently:\nin  %x\nout %x", in, out.Bytes())
+			}
+			// An accepted state is safe to derive from.
+			inc.Implications(FromPercent(50), Options{})
+			inc.Similarities(FromPercent(50), Options{})
+		}
+	})
 }
 
 func TestIncrementalCounterBytes(t *testing.T) {

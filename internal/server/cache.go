@@ -98,6 +98,8 @@ type AppendResponse struct {
 // whole point) and is rebuilt in one scan otherwise; either way the
 // grown dataset is committed to the store before it becomes visible,
 // and the refreshed snapshot is cached under the grown content address.
+// Ownership and the tenant byte quota are enforced as for a PUT of the
+// grown dataset.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	tenant, ok := s.tenantOf(w, r)
@@ -116,11 +118,15 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// One append at a time per server: appends read-modify-write the
 	// dataset registration and the store entry, and interleaving two
 	// would lose one's rows.
+	if s.appendQueued != nil {
+		s.appendQueued()
+	}
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	// Re-fetch under the append lock — a concurrent append or PUT may
-	// have swapped the registration since the check above.
-	d, ok = s.get(name)
+	// Re-fetch under the append lock — a concurrent append, PUT or
+	// DELETE may have swapped the registration since the check above,
+	// down to another tenant's dataset under the same name.
+	d, ok = s.getFor(tenant, name)
 	if !ok || d.m == nil {
 		writeErr(w, r, http.StatusConflict, "dataset %q changed while the append was queued; retry", name)
 		return
@@ -142,14 +148,23 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "append body holds no transactions")
 		return
 	}
+	size := residentFootprint(grown)
+	if shed := s.checkDatasetQuota(tenant, name, size); shed != nil {
+		s.writeShed(w, r, shed)
+		return
+	}
 
 	// Resume the miss counters from the old content's snapshot, or pay
-	// the one-time rebuild; then fold in only the appended rows.
-	inc, resumed := s.snapshot(d)
-	if !resumed {
-		inc = core.BuildIncremental(d.m)
+	// the one-time rebuild; then fold in only the appended rows. Without
+	// a cache nothing would ever read the snapshot, so there is none.
+	var inc *core.Incremental
+	resumed := false
+	if s.rc != nil {
+		if inc, resumed = s.snapshot(d); !resumed {
+			inc = core.BuildIncremental(d.m)
+		}
+		inc.AddMatrixRows(grown, d.m.NumRows())
 	}
-	inc.AddMatrixRows(grown, d.m.NumRows())
 
 	inf := info(name, grown)
 	var hash string
@@ -168,11 +183,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		inf.Durable = true
 		hash = e.Hash
-	} else if h, err := store.ContentHash(grown); err == nil {
-		hash = h
+		size = e.Size
+	} else if s.wantHash() {
+		if h, err := store.ContentHash(grown); err == nil {
+			hash = h
+		}
 	}
 	s.storeSnapshot(hash, inc)
-	s.add(name, &dataset{m: grown, info: inf, hash: hash, tenant: d.tenant, bytes: residentFootprint(grown)})
+	s.add(name, &dataset{m: grown, info: inf, hash: hash, tenant: d.tenant, bytes: size})
 	s.noteTenantUsage(tenant)
 	s.metrics.appends.Inc()
 	writeJSON(w, http.StatusOK, AppendResponse{DatasetInfo: inf, Appended: added, Incremental: resumed})

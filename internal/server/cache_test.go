@@ -502,3 +502,133 @@ func TestCachelessServerUnchanged(t *testing.T) {
 		t.Fatalf("cacheless append: %d, want 200 (append works without cache or store)", resp.StatusCode)
 	}
 }
+
+// TestAppendTenantRules: an append is a PUT of the grown dataset as far
+// as tenancy goes — it must fit the tenant's byte quota, it must land
+// in the requester's own dataset even when the name changed hands while
+// the append waited for its turn, and a durable dataset's quota bill is
+// its committed blob size.
+func TestAppendTenantRules(t *testing.T) {
+	big := strings.Repeat("item0 item1 item2 item3 item4 item5 item6 item7\n", 40)
+	for _, tc := range []struct {
+		name       string
+		cfg        func(t *testing.T) Config
+		queued     func(t *testing.T, base string) // runs while the append waits for its turn
+		body       string
+		wantStatus int
+		wantRows   int // rows of "d" as seen by wantOwner afterwards
+		wantOwner  string
+	}{
+		{
+			name:       "past quota",
+			cfg:        func(*testing.T) Config { return Config{TenantQuota: TenantQuota{MaxBytes: 1 << 10}} },
+			body:       big,
+			wantStatus: http.StatusTooManyRequests,
+			wantRows:   2, wantOwner: "alice",
+		},
+		{
+			name:       "within quota",
+			cfg:        func(*testing.T) Config { return Config{TenantQuota: TenantQuota{MaxBytes: 1 << 10}} },
+			body:       "a b\n",
+			wantStatus: http.StatusOK,
+			wantRows:   3, wantOwner: "alice",
+		},
+		{
+			name: "swapped owner",
+			cfg:  func(*testing.T) Config { return Config{} },
+			queued: func(t *testing.T, base string) {
+				for _, step := range []struct {
+					method, tenant, body string
+					want                 int
+				}{
+					{http.MethodDelete, "alice", "", http.StatusNoContent},
+					{http.MethodPut, "bob", "x y\nx y\nx y\nx y\n", http.StatusCreated},
+				} {
+					req, _ := http.NewRequest(step.method, base+"/v1/datasets/d", strings.NewReader(step.body))
+					req.Header.Set(tenantHeader, step.tenant)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Errorf("%s as %s: %v", step.method, step.tenant, err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != step.want {
+						t.Errorf("%s as %s: status %d, want %d", step.method, step.tenant, resp.StatusCode, step.want)
+					}
+				}
+			},
+			body:       "a b\n",
+			wantStatus: http.StatusConflict,
+			wantRows:   4, wantOwner: "bob",
+		},
+		{
+			name: "durable",
+			cfg: func(t *testing.T) Config {
+				return Config{Store: openTestStore(t, t.TempDir(), store.Options{}), TenantQuota: TenantQuota{MaxBytes: 1 << 20}}
+			},
+			body:       "a b c\n",
+			wantStatus: http.StatusOK,
+			wantRows:   3, wantOwner: "alice",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg(t)
+			cfg.Registry = obs.NewRegistry() // quota sheds must not leak into other tests' counters
+			s := NewWith(cfg)
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+			doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/d", "alice", "a b\na b\n", http.StatusCreated, nil)
+			if tc.queued != nil {
+				s.appendQueued = func() { tc.queued(t, ts.URL) }
+			}
+			resp := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/rows", "alice", tc.body, tc.wantStatus, nil)
+			if tc.wantStatus == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
+				t.Fatal("quota shed has no Retry-After")
+			}
+			var inf DatasetInfo
+			doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/d", tc.wantOwner, "", http.StatusOK, &inf)
+			if inf.Rows != tc.wantRows {
+				t.Fatalf("rows of %s's d = %d, want %d", tc.wantOwner, inf.Rows, tc.wantRows)
+			}
+			d, _ := s.get("d")
+			want := residentFootprint(d.m)
+			if s.st != nil {
+				e, _ := s.st.Get("d")
+				want = e.Size
+			}
+			if d.bytes != want {
+				t.Fatalf("quota bill = %d bytes, want %d", d.bytes, want)
+			}
+		})
+	}
+}
+
+// TestCachelessAppendParity: without a cache nothing reads a snapshot,
+// so the append neither builds one nor hashes the grown matrix — and
+// mines of the grown dataset still equal a fresh server's.
+func TestCachelessAppendParity(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	doPut(t, ts.URL, "d", basketBody)
+	appendBody := "bread butter jam\nbread tea\nscone butter\nscone jam butter\n"
+	if r := doAppendJSON(t, ts.URL, "d", appendBody); r.Incremental || r.Rows != 14 {
+		t.Fatalf("append response = %+v", r)
+	}
+	if d, _ := s.get("d"); d.hash != "" {
+		t.Fatalf("cacheless append hashed the grown matrix: %q", d.hash)
+	}
+
+	ref := New()
+	ref.Add("d", mustParseBaskets(t, basketBody+appendBody))
+	tsRef := httptest.NewServer(ref.Handler())
+	t.Cleanup(tsRef.Close)
+	for _, q := range []string{"implications?threshold=80", "similarities?threshold=60"} {
+		var got, want minedReply
+		getJSON(t, ts.URL+"/v1/datasets/d/"+q, http.StatusOK, &got)
+		getJSON(t, tsRef.URL+"/v1/datasets/d/"+q, http.StatusOK, &want)
+		if got.Source != "" || got.Total != want.Total || string(got.Rules) != string(want.Rules) {
+			t.Fatalf("%s after a cacheless append:\n%+v\nfresh server:\n%+v", q, got, want)
+		}
+	}
+}

@@ -314,6 +314,9 @@ type Server struct {
 	// current registration, grows it, and swaps it, and two interleaved
 	// appends would lose one's rows.
 	appendMu sync.Mutex
+	// appendQueued, when set, runs between an append's first lookup and
+	// its wait on appendMu; tests use it to swap the dataset meanwhile.
+	appendQueued func()
 
 	// ready gates /v1/readyz: false until the catalog is loaded (set by
 	// the embedding binary around LoadStore/LoadDir) and irrelevant once
