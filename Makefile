@@ -30,8 +30,13 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole internal tree under the race detector once, then the
+# mining worker fan-out (several goroutines per pass sharing one tail
+# build and one broadcast reader) repeated ten times.
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource' ./internal/core
+	$(GO) test -race -count=10 -run 'ParityAcrossWorkers|ConcurrentPass|FaultMatrixCancel' ./internal/stream
 
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...

@@ -324,13 +324,7 @@ func incStats(inc *core.Incremental) string {
 func mineImpResident(m *matrix.Matrix, th core.Threshold, opts core.Options, cfg runConfig) ([]rules.Implication, core.Stats, error) {
 	var rs []rules.Implication
 	var st core.Stats
-	err := core.CapturePass(func() {
-		if cfg.workers != 1 {
-			rs, st = core.DMCImpParallel(m, th, opts, cfg.workers)
-		} else {
-			rs, st = core.DMCImp(m, th, opts)
-		}
-	})
+	err := core.CapturePass(func() { rs, st = core.DMCImpParallel(m, th, opts, cfg.workers) })
 	var be *core.BudgetError
 	if err != nil && errors.As(err, &be) {
 		fmt.Fprintf(os.Stderr, "dmcmine: counter memory %d bytes exceeds -mem-budget %d; degrading to streamed mining\n",
@@ -344,13 +338,7 @@ func mineImpResident(m *matrix.Matrix, th core.Threshold, opts core.Options, cfg
 func mineSimResident(m *matrix.Matrix, th core.Threshold, opts core.Options, cfg runConfig) ([]rules.Similarity, core.Stats, error) {
 	var rs []rules.Similarity
 	var st core.Stats
-	err := core.CapturePass(func() {
-		if cfg.workers != 1 {
-			rs, st = core.DMCSimParallel(m, th, opts, cfg.workers)
-		} else {
-			rs, st = core.DMCSim(m, th, opts)
-		}
-	})
+	err := core.CapturePass(func() { rs, st = core.DMCSimParallel(m, th, opts, cfg.workers) })
 	var be *core.BudgetError
 	if err != nil && errors.As(err, &be) {
 		fmt.Fprintf(os.Stderr, "dmcmine: counter memory %d bytes exceeds -mem-budget %d; degrading to streamed mining\n",

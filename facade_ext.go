@@ -65,7 +65,8 @@ func MineSimilaritiesFileCfg(path string, minsim Threshold, opts Options, cfg St
 // divide-and-conquer parallelization sketched in the paper's §7.
 // workers ≤ 0 means one worker per CPU. The rule set is identical to
 // MineImplications'; the counter-array memory is what gets divided
-// across workers, while the scan and any DMC-bitmap tail are shared.
+// across workers, while every worker scans every row and any DMC-bitmap
+// tail is built once and shared.
 func MineImplicationsParallel(m *Matrix, minconf Threshold, opts Options, workers int) ([]Implication, Stats) {
 	return core.DMCImpParallel(m, minconf, opts, workers)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -65,6 +66,27 @@ func TestHooksSimAndSingleScan(t *testing.T) {
 	if got := rec.phases["imp"]; len(got) != 2 || got[1] != "lt" {
 		t.Fatalf("single-scan phases = %v", got)
 	}
+
+	// The ablation holds at every worker count: no 100% phase runs.
+	for _, workers := range []int{1, 3} {
+		for fam, mine := range map[string]func(Options){
+			"imp": func(o Options) { DMCImpParallel(hooksMatrix(), FromPercent(60), o, workers) },
+			"sim": func(o Options) { DMCSimParallel(hooksMatrix(), FromPercent(50), o, workers) },
+		} {
+			rec, h := newHookRecorder()
+			mine(Options{Hooks: h, SingleScan: true})
+			pipeline := fam
+			if workers > 1 {
+				pipeline += "-parallel"
+			}
+			if got := fmt.Sprint(rec.phases[pipeline]); got != "[prescan lt]" {
+				t.Fatalf("%s workers %d single-scan phases = %s", fam, workers, got)
+			}
+			if st := rec.stats[pipeline]; st.Phase100 != 0 {
+				t.Fatalf("%s workers %d single-scan Phase100 = %v", fam, workers, st.Phase100)
+			}
+		}
+	}
 }
 
 func TestHooksBitmapSwitch(t *testing.T) {
@@ -96,6 +118,13 @@ func TestHooksParallel(t *testing.T) {
 	DMCSimParallel(hooksMatrix(), FromPercent(50), Options{Hooks: h}, 2)
 	if got := rec.phases["sim-parallel"]; len(got) != 3 {
 		t.Fatalf("sim-parallel phases = %v", got)
+	}
+
+	// One worker is the serial pipeline and carries its label.
+	rec, h = newHookRecorder()
+	DMCImpParallel(hooksMatrix(), FromPercent(60), Options{Hooks: h}, 1)
+	if got := rec.phases["imp"]; len(got) != 3 || len(rec.phases) != 1 {
+		t.Fatalf("workers=1 phases = %v", rec.phases)
 	}
 }
 

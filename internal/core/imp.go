@@ -1,11 +1,20 @@
 package core
 
 import (
-	"time"
-
 	"dmc/internal/matrix"
 	"dmc/internal/rules"
 )
+
+// impFamily plugs Algorithm 4.2 into the pipeline: the counterless
+// 100%-rule scan of §4.3, then the general DMC-base scan over the
+// columns whose miss budget is not zero.
+var impFamily = family[rules.Implication]{
+	name:     "imp",
+	scan100:  imp100Scan,
+	scanLT:   impScan,
+	minOnes:  Threshold.MinOnesConf,
+	found100: func(r rules.Implication) bool { return r.Hits == r.Ones },
+}
 
 // DMCImp mines all implication rules of m with confidence ≥ minconf,
 // implementing Algorithm 4.2:
@@ -22,9 +31,7 @@ import (
 // with at least one 1, each exactly once, in no particular order.
 // For rule sets too large to materialize, use DMCImpEach.
 func DMCImp(m *matrix.Matrix, minconf Threshold, opts Options) ([]rules.Implication, Stats) {
-	var out []rules.Implication
-	st := DMCImpEach(m, minconf, opts, func(r rules.Implication) { out = append(out, r) })
-	return out, st
+	return mineAll(impFamily, m, minconf, opts, 1)
 }
 
 // DMCImpEach is DMCImp with streaming emission: each mined rule is
@@ -33,93 +40,32 @@ func DMCImp(m *matrix.Matrix, minconf Threshold, opts Options) ([]rules.Implicat
 // (support-free mining of crawl-scale data can yield tens of millions
 // of rules).
 func DMCImpEach(m *matrix.Matrix, minconf Threshold, opts Options, fn func(rules.Implication)) Stats {
-	start := time.Now()
-	ones := m.Ones()
-	src := MatrixSource(m, opts.Order.order(m))
-	return dmcImp(src, ones, minconf, opts, time.Since(start), fn)
+	return mineMatrix(impFamily, m, minconf, opts, 1, fn)
 }
 
-// DMCImpSource is DMCImp over an abstract row source — the entry point
-// for streamed, disk-backed mining (package stream). ones must be the
-// per-column 1-counts computed by the caller's first pass; the source's
-// pass order is taken as given (Options.Order is ignored), so a
-// streaming caller implements §4.1 by writing density buckets during
-// its first pass and replaying them sparsest-first.
-func DMCImpSource(src Source, ones []int, minconf Threshold, opts Options) ([]rules.Implication, Stats) {
-	var out []rules.Implication
-	st := dmcImp(src, ones, minconf, opts, 0, func(r rules.Implication) { out = append(out, r) })
-	return out, st
+// DMCImpParallel is the divide-and-conquer parallelization the paper's
+// §7 proposes (after FDM): columns are partitioned across workers (a
+// snake walk over the ones-sorted columns, so dense columns spread
+// evenly), and each worker runs the full DMC-imp pipeline but maintains
+// candidate lists — and therefore emits rules — only for the antecedent
+// columns it owns. Every worker scans every row, masking each as it
+// reads it; the DMC-bitmap tail is built once per switch position and
+// shared. workers ≤ 0 means one worker per CPU, and workers = 1 is
+// DMCImp. The result is exactly DMCImp's; the counter-array memory is
+// what gets divided.
+func DMCImpParallel(m *matrix.Matrix, minconf Threshold, opts Options, workers int) ([]rules.Implication, Stats) {
+	return mineAll(impFamily, m, minconf, opts, workers)
 }
 
-// DMCImpSourceEach combines the Source and streaming-emission forms.
-func DMCImpSourceEach(src Source, ones []int, minconf Threshold, opts Options, fn func(rules.Implication)) Stats {
-	return dmcImp(src, ones, minconf, opts, 0, fn)
-}
-
-// dmcImp runs the pipeline proper. prescan is the caller's first-pass
-// duration (zero for Source callers, whose prescan happened outside);
-// it is folded into Stats and reported through Options.Hooks.
-func dmcImp(src Source, ones []int, minconf Threshold, opts Options, prescan time.Duration, fn func(rules.Implication)) Stats {
-	minconf.check()
-	var st Stats
-	st.SwitchPos100, st.SwitchPosLT = -1, -1
-	st.Prescan = prescan
-	opts.Hooks.emitPhase("imp", "prescan", prescan)
-	start := time.Now()
-
-	mem100 := &memMeter{sample: opts.SampleMemory}
-	memLT := &memMeter{sample: opts.SampleMemory}
-	mcols := src.NumCols()
-	supportAlive := opts.supportMask(ones)
-	shardOwned := opts.Shard.mask(mcols)
-	emit := func(r rules.Implication) {
-		st.NumRules++
-		fn(r)
-	}
-
-	if opts.SingleScan {
-		// Ablation: plain DMC-base over every column, no 100% split.
-		t0 := time.Now()
-		impScan(src.Pass(), mcols, ones, supportAlive, shardOwned, minconf, opts, nil, memLT, &st, emit)
-		st.PhaseLT = time.Since(t0)
-		st.BitmapLT = st.Bitmap
-		st.ColumnsAfterCutoff = mcols
-		opts.Hooks.emitPhase("imp", "lt", st.PhaseLT)
-		opts.Hooks.emitSwitch("imp", "lt", st.SwitchPosLT)
-	} else {
-		t0 := time.Now()
-		imp100Scan(src.Pass(), mcols, ones, supportAlive, shardOwned, opts, nil, mem100, &st, emit)
-		st.Phase100 = time.Since(t0)
-		st.Bitmap100 = st.Bitmap
-		opts.Hooks.emitPhase("imp", "100", st.Phase100)
-		opts.Hooks.emitSwitch("imp", "100", st.SwitchPos100)
-
-		if !minconf.IsOne() {
-			t1 := time.Now()
-			minOnes := minconf.MinOnesConf()
-			alive := make([]bool, mcols)
-			for c, k := range ones {
-				if k >= minOnes && (supportAlive == nil || supportAlive[c]) {
-					alive[c] = true
-					st.ColumnsAfterCutoff++
-				}
-			}
-			impScan(src.Pass(), mcols, ones, alive, shardOwned, minconf, opts, nil, memLT, &st, func(r rules.Implication) {
-				if r.Hits < r.Ones { // 100%-confidence rules came from the first phase
-					emit(r)
-				}
-			})
-			st.PhaseLT = time.Since(t1)
-			st.BitmapLT = st.Bitmap - st.Bitmap100
-			opts.Hooks.emitPhase("imp", "lt", st.PhaseLT)
-			opts.Hooks.emitSwitch("imp", "lt", st.SwitchPosLT)
-		}
-	}
-
-	st.Peak100, st.PeakLT = mem100.peak, memLT.peak
-	st.PeakCounterBytes = max(mem100.peak, memLT.peak)
-	st.MemSamples = append(mem100.samples, memLT.samples...)
-	st.Total = prescan + time.Since(start)
-	opts.Hooks.emitStats("imp", st)
-	return st
+// DMCImpParallelSource is DMCImpParallel over an abstract row source —
+// the entry point for streamed, disk-backed mining (package stream).
+// ones must be the caller's first-pass per-column 1-counts; the
+// source's pass order is taken as given (Options.Order is ignored), so
+// a streaming caller implements §4.1 by writing density buckets during
+// its first pass and replaying them sparsest-first. workers > 1 needs a
+// ConcurrentSource, which reads each pass once for all workers;
+// otherwise the error is ErrSequentialSource. Pass failures signalled
+// by a SourceError panic come back as the error.
+func DMCImpParallelSource(src Source, ones []int, minconf Threshold, opts Options, workers int) ([]rules.Implication, Stats, error) {
+	return mineSource(impFamily, src, ones, minconf, opts, workers)
 }

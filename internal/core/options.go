@@ -129,8 +129,9 @@ type Options struct {
 // fast and non-blocking.
 type Hooks struct {
 	// OnPhase fires once per completed phase with its wall-clock
-	// duration. Pipelines are "imp", "sim", "imp-parallel",
-	// "sim-parallel"; phases are "prescan", "100" and "lt".
+	// duration. Pipelines are "imp" and "sim", suffixed "-parallel"
+	// when the resolved worker count is above 1 ("imp-parallel",
+	// "sim-parallel"); phases are "prescan", "100" and "lt".
 	OnPhase func(pipeline, phase string, d time.Duration)
 	// OnBitmapSwitch fires when a phase switched to DMC-bitmap, with
 	// the scan position of the switch.
@@ -233,7 +234,8 @@ type Stats struct {
 	// NumRules is the number of rules emitted.
 	NumRules int
 	// MemSamples is the per-row memory series (only with
-	// Options.SampleMemory; positions are per-phase scan positions).
+	// Options.SampleMemory on a one-worker mine; positions are
+	// per-phase scan positions).
 	MemSamples []MemSample
 }
 

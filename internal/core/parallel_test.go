@@ -143,7 +143,7 @@ func TestOwnershipSnakeBalance(t *testing.T) {
 // worker count — including more workers than columns — under default
 // options, a forced bitmap switch mid-scan, and support pruning. The CI
 // race job runs it with -race, which is what shakes out unsynchronized
-// access to the shared prefiltered rows and tail bitmaps.
+// access to the shared tail bitmaps.
 func TestParallelParityWithSerial(t *testing.T) {
 	for seed := int64(10); seed < 14; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // ShardRange restricts rule ownership to the half-open column range
 // [Lo, Hi) — the distributed twin of the §7 worker partition. A shard
@@ -72,4 +75,48 @@ func shardOwnership(ones []int, workers int, shard *ShardRange) [][]bool {
 		}
 	}
 	return snakeOwnership(ones, idx, workers)
+}
+
+// ownership partitions the columns across workers with a snake
+// (boustrophedon) walk over the columns sorted by descending 1-count:
+// density ranks 0..W-1 go to workers 0..W-1, ranks W..2W-1 come back
+// W-1..0, and so on. Every worker therefore holds an equal slice of
+// every density stratum — round-robin over raw column ids balances
+// counts but lets a run of dense columns land on one worker; the snake
+// bounds the per-worker ones-sum imbalance by a single column's count.
+func ownership(ones []int, workers int) [][]bool {
+	mcols := len(ones)
+	if workers == 1 {
+		return [][]bool{nil} // nil mask = own everything, no per-row check
+	}
+	idx := make([]int, mcols)
+	for i := range idx {
+		idx[i] = i
+	}
+	return snakeOwnership(ones, idx, workers)
+}
+
+// snakeOwnership assigns the candidate columns idx to workers with the
+// snake walk (idx need not be every column — shardOwnership passes the
+// in-shard subset); columns outside idx belong to no worker.
+func snakeOwnership(ones, idx []int, workers int) [][]bool {
+	mcols := len(ones)
+	idx = append([]int(nil), idx...)
+	sort.Slice(idx, func(a, b int) bool {
+		oa, ob := ones[idx[a]], ones[idx[b]]
+		return oa > ob || (oa == ob && idx[a] < idx[b])
+	})
+	owned := make([][]bool, workers)
+	for w := range owned {
+		owned[w] = make([]bool, mcols)
+	}
+	for rank, c := range idx {
+		lap, off := rank/workers, rank%workers
+		w := off
+		if lap%2 == 1 {
+			w = workers - 1 - off
+		}
+		owned[w][c] = true
+	}
+	return owned
 }

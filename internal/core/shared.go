@@ -8,43 +8,10 @@ import (
 	"dmc/internal/matrix"
 )
 
-// This file is the shared-scan layer for the parallel pipelines. §7
-// divides the counter array across workers, but two structures must NOT
-// be divided: the filtered row stream and the DMC-bitmap tail. Before
-// this layer, every worker re-ran the alive-mask filter over every row
-// and built a private copy of the tail bitmaps — W-fold redundant work
-// and W-fold bitmap memory at W workers. Here both are materialized
-// once and shared read-only.
-
-// flatRows is a materialized row set in scan order with masked columns
-// already dropped, stored as one flat column array plus offsets. It is
-// immutable after prefilterRows returns, so any number of workers can
-// scan it concurrently, each at its own position.
-type flatRows struct {
-	offs []int
-	cols []matrix.Col
-}
-
-// prefilterRows runs the alive-mask filter once over a full pass of
-// rows. A nil mask still materializes (callers use it to avoid repeated
-// decode of non-trivial Rows implementations); rows are copied, never
-// aliased, so the source's buffer-reuse contract is respected.
-func prefilterRows(rows Rows, alive []bool) *flatRows {
-	n := rows.Len()
-	f := &flatRows{offs: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		for _, c := range rows.Row(i) {
-			if alive == nil || alive[c] {
-				f.cols = append(f.cols, c)
-			}
-		}
-		f.offs[i+1] = len(f.cols)
-	}
-	return f
-}
-
-func (f *flatRows) Len() int               { return len(f.offs) - 1 }
-func (f *flatRows) Row(i int) []matrix.Col { return f.cols[f.offs[i]:f.offs[i+1]] }
+// This file is the shared DMC-bitmap tail of a multi-worker mine. §7
+// divides the counter array across workers, but not the tail: a private
+// copy per worker would cost W-fold build work and W-fold bitmap memory
+// at W workers, so each tail is materialized once and shared read-only.
 
 // tailShare coordinates the Algorithm 4.1 tail build across workers:
 // the first worker to switch to DMC-bitmap at a given scan position
@@ -54,8 +21,8 @@ func (f *flatRows) Row(i int) []matrix.Col { return f.cols[f.offs[i]:f.offs[i+1]
 // (correct, still shared-by-position) builds; in practice the
 // rows-remaining trigger aligns them.
 //
-// A nil *tailShare is valid and means "build privately" — the serial
-// pipelines' path, where there is exactly one builder anyway.
+// A nil *tailShare is valid and means "build privately" — the
+// single-worker path, where there is exactly one builder anyway.
 type tailShare struct {
 	mu      sync.Mutex
 	entries map[int]*tailEntry

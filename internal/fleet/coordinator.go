@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,46 +96,36 @@ func (c *Coordinator) HedgeDelay() time.Duration { return c.hedgeDelay() }
 // exact rule set a single-node mine of ds.M would produce, in the
 // canonical (From, To) order.
 func (c *Coordinator) MineImplications(ctx context.Context, ds DatasetRef, p Params) ([]rules.Implication, Stats, error) {
-	payloads, st, err := c.scatter(ctx, ds, p, "imp")
-	if err != nil {
-		return nil, st, err
-	}
-	t0 := time.Now()
-	var out []rules.Implication
-	for _, pl := range payloads {
-		rs, err := rules.ReadImplications(bytes.NewReader(pl))
-		if err != nil {
-			return nil, st, fmt.Errorf("fleet: parsing shard payload: %w", err)
-		}
-		out = append(out, rs...)
-	}
-	rules.SortImplications(out)
-	st.Merge = time.Since(t0)
-	c.reg.met.mergeSec.Observe(st.Merge.Seconds())
-	c.reg.met.mines.With("imp").Inc()
-	return out, st, nil
+	return gather(ctx, c, ds, p, "imp", rules.ReadImplications, rules.SortImplications)
 }
 
 // MineSimilarities is MineImplications for similarity rules, merged
 // into the canonical (A, B) order.
 func (c *Coordinator) MineSimilarities(ctx context.Context, ds DatasetRef, p Params) ([]rules.Similarity, Stats, error) {
-	payloads, st, err := c.scatter(ctx, ds, p, "sim")
+	return gather(ctx, c, ds, p, "sim", rules.ReadSimilarities, rules.SortSimilarities)
+}
+
+// gather scatters one mode's mine and merges the shard payloads,
+// decoded with read, into canon's canonical order.
+func gather[R any](ctx context.Context, c *Coordinator, ds DatasetRef, p Params, mode string,
+	read func(io.Reader) ([]R, error), canon func([]R)) ([]R, Stats, error) {
+	payloads, st, err := c.scatter(ctx, ds, p, mode)
 	if err != nil {
 		return nil, st, err
 	}
 	t0 := time.Now()
-	var out []rules.Similarity
+	var out []R
 	for _, pl := range payloads {
-		rs, err := rules.ReadSimilarities(bytes.NewReader(pl))
+		rs, err := read(bytes.NewReader(pl))
 		if err != nil {
 			return nil, st, fmt.Errorf("fleet: parsing shard payload: %w", err)
 		}
 		out = append(out, rs...)
 	}
-	rules.SortSimilarities(out)
+	canon(out)
 	st.Merge = time.Since(t0)
 	c.reg.met.mergeSec.Observe(st.Merge.Seconds())
-	c.reg.met.mines.With("sim").Inc()
+	c.reg.met.mines.With(mode).Inc()
 	return out, st, nil
 }
 

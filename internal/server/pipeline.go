@@ -24,11 +24,11 @@ import (
 type pipeline[R, W any] struct {
 	// name is the family's metrics label, cache family and job pipeline.
 	name string
-	// resident mines an in-memory matrix: workers 1 runs the serial
-	// engine, anything else the §7 column-partitioned engine (0 = one
-	// worker per CPU). Cancellation and budget overflow (SourceError
-	// panics) surface as errors via core.CapturePass. file streams a
-	// file-backed dataset from disk through the out-of-core engine.
+	// resident mines an in-memory matrix with the §7 column-partitioned
+	// engine (workers 1 = the serial scan, 0 = one worker per CPU).
+	// Cancellation and budget overflow (SourceError panics) surface as
+	// errors via core.CapturePass. file streams a file-backed dataset
+	// from disk through the out-of-core engine.
 	resident func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
 	file     func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]R, core.Stats, error)
 	fleet    func(c *fleet.Coordinator, ctx context.Context, ds fleet.DatasetRef, p fleet.Params) ([]R, fleet.Stats, error)
@@ -44,7 +44,7 @@ type pipeline[R, W any] struct {
 
 var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 	name:     "imp",
-	resident: residentEngine(core.DMCImp, core.DMCImpParallel),
+	resident: residentEngine(core.DMCImpParallel),
 	file:     stream.MineImplicationsCfg,
 	fleet:    (*fleet.Coordinator).MineImplications,
 	derive:   (*core.Incremental).Implications,
@@ -73,7 +73,7 @@ var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 
 var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 	name:     "sim",
-	resident: residentEngine(core.DMCSim, core.DMCSimParallel),
+	resident: residentEngine(core.DMCSimParallel),
 	file:     stream.MineSimilaritiesCfg,
 	fleet:    (*fleet.Coordinator).MineSimilarities,
 	derive:   (*core.Incremental).Similarities,
@@ -110,20 +110,12 @@ var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 	},
 }
 
-// residentEngine is the serial-vs-parallel choice behind
-// pipeline.resident.
-func residentEngine[R any](serial func(*matrix.Matrix, core.Threshold, core.Options) ([]R, core.Stats),
-	parallel func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats)) func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats, error) {
+// residentEngine adapts a panic-based core miner to pipeline.resident.
+func residentEngine[R any](mine func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats)) func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats, error) {
 	return func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
 		var rs []R
 		var st core.Stats
-		err := core.CapturePass(func() {
-			if workers == 1 {
-				rs, st = serial(m, t, o)
-			} else {
-				rs, st = parallel(m, t, o, workers)
-			}
-		})
+		err := core.CapturePass(func() { rs, st = mine(m, t, o, workers) })
 		return rs, st, err
 	}
 }

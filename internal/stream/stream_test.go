@@ -155,7 +155,10 @@ func TestPartitionReuseAcrossThresholds(t *testing.T) {
 	defer p.Close()
 	for _, pct := range []int{90, 75} {
 		th := core.FromPercent(pct)
-		got, _ := core.DMCImpSource(p, p.Ones(), th, core.Options{})
+		got, _, err := core.DMCImpParallelSource(p, p.Ones(), th, core.Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, _ := core.DMCImp(m, th, core.Options{})
 		if d := rules.DiffImplications(got, want); d != "" {
 			t.Fatalf("reused partition at %d%%:\n%s", pct, d)
