@@ -115,14 +115,16 @@ chaos-smoke:
 	$(GO) test -race -run 'Transport|Backoff' ./internal/fault
 	$(GO) test -race -run 'Chaos|Breaker|Hedge' ./internal/fleet
 
-# A short fuzzing pass over the decoders and the popcount kernels:
-# spill-codec corruption must never panic the miners, an incremental
+# A short fuzzing pass over the codecs and the popcount kernels:
+# spill-codec corruption must never panic the miners, the binary
+# encoder must write the reference encoder's bytes, an incremental
 # snapshot either fails to decode or re-encodes to its exact bytes, and
 # the word kernels must agree with the naive reference loops on
 # arbitrary bit patterns. Go allows one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -run=NoTests -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzReadBinary -fuzztime=5s ./internal/matrix
+	$(GO) test -run=NoTests -fuzz=FuzzEncodeBinary -fuzztime=5s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzDecodeIncremental -fuzztime=10s ./internal/core
 	$(GO) test -run=NoTests -fuzz=FuzzCountKernels -fuzztime=10s ./internal/bitset
 

@@ -64,7 +64,9 @@ func SaveIncrementalState(path string, inc *Incremental) error {
 // ExtendBaskets returns a new matrix of m's rows followed by the basket
 // lines parsed from r. Labeled matrices map tokens through the existing
 // labels (unseen tokens mint new columns), so column ids — and every
-// rule ever mined from them — stay stable across appends.
+// rule ever mined from them — stay stable across appends. On an
+// unlabeled matrix the tokens are column ids, and an append that would
+// widen the matrix by more than its count of ones is rejected.
 func ExtendBaskets(m *Matrix, r io.Reader) (*Matrix, error) {
 	return matrix.ExtendBaskets(m, r)
 }

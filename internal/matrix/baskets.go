@@ -15,11 +15,32 @@ import (
 
 // ReadBaskets parses the basket format.
 func ReadBaskets(r io.Reader) (*Matrix, error) {
+	// Appending to an empty labeled matrix mints every column.
+	return ExtendBaskets(&Matrix{labels: []string{}}, r)
+}
+
+// ExtendBaskets parses basket lines from r and returns a new matrix of
+// m's rows followed by the parsed rows — the append-only growth path.
+// For a labeled matrix, tokens map through the existing labels and
+// unseen tokens mint new columns past the current width, so old column
+// ids (and every rule ever mined from them) stay stable. For an
+// unlabeled matrix the tokens must be non-negative integer column ids,
+// mirroring the text format's convention. Either way the width grows
+// by at most the appended rows' count of ones, so a short body cannot
+// size every per-column array of the dataset; a wider append is
+// rejected with an error wrapping ErrFormat. m itself is not modified;
+// the result shares m's row storage.
+func ExtendBaskets(m *Matrix, r io.Reader) (*Matrix, error) {
+	// The full slice expression makes a minted label reallocate instead
+	// of writing into spare capacity of m's labels.
+	labels := m.labels[:len(m.labels):len(m.labels)]
+	ids := make(map[string]Col, len(labels))
+	for i, l := range labels {
+		ids[l] = Col(i)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	ids := make(map[string]Col)
-	var labels []string
-	b := NewBuilder(0)
+	b := NewBuilder(m.cols)
 	var row []Col
 	for sc.Scan() {
 		line := sc.Text()
@@ -28,8 +49,16 @@ func ReadBaskets(r io.Reader) (*Matrix, error) {
 		}
 		row = row[:0]
 		for _, tok := range strings.Fields(line) {
-			id, seen := ids[tok]
-			if !seen {
+			var id Col
+			if m.labels == nil {
+				c, err := parseCol(tok)
+				if err != nil {
+					return nil, fmt.Errorf("matrix: appending to an unlabeled dataset: %w", err)
+				}
+				id = c
+			} else if c, seen := ids[tok]; seen {
+				id = c
+			} else {
 				id = Col(len(labels))
 				ids[tok] = id
 				labels = append(labels, tok)
@@ -41,88 +70,17 @@ func ReadBaskets(r io.Reader) (*Matrix, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	m := b.Build()
-	if m.NumCols() < len(labels) {
-		// All-comment trailing columns cannot happen: every label was
-		// seen in some row, so the builder's width always reaches it.
-		return nil, fmt.Errorf("matrix: internal: %d labels for %d columns", len(labels), m.NumCols())
+	// The Builder sorted and deduplicated the new rows and widened to
+	// their largest id, and m's rows already hold m's invariants, so the
+	// result needs no check of m's rows.
+	out := b.Build()
+	if ones := out.NumOnes(); out.cols > m.cols+ones {
+		return nil, fmt.Errorf("%w: appended column ids widen %d columns to %d, more than the %d ones appended", ErrFormat, m.cols, out.cols, ones)
+	}
+	if len(m.rows) > 0 {
+		out.rows = append(append(make([][]Col, 0, len(m.rows)+len(out.rows)), m.rows...), out.rows...)
 	}
 	if len(labels) > 0 {
-		m.SetLabels(labels)
-	}
-	return m, nil
-}
-
-// ExtendBaskets parses basket lines from r and returns a new matrix of
-// m's rows followed by the parsed rows — the append-only growth path.
-// For a labeled matrix, tokens map through the existing labels and
-// unseen tokens mint new columns past the current width, so old column
-// ids (and every rule ever mined from them) stay stable. For an
-// unlabeled matrix the tokens must be non-negative integer column ids,
-// mirroring the text format's convention. m itself is not modified; the
-// result shares m's row storage.
-func ExtendBaskets(m *Matrix, r io.Reader) (*Matrix, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	labeled := m.Labels() != nil
-	var ids map[string]Col
-	var labels []string
-	if labeled {
-		labels = append([]string(nil), m.Labels()...)
-		ids = make(map[string]Col, len(labels))
-		for i, l := range labels {
-			ids[l] = Col(i)
-		}
-	}
-	cols := m.NumCols()
-	b := NewBuilder(cols)
-	var row []Col
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
-		}
-		row = row[:0]
-		for _, tok := range strings.Fields(line) {
-			var id Col
-			if labeled {
-				seen := false
-				if id, seen = ids[tok]; !seen {
-					id = Col(len(labels))
-					ids[tok] = id
-					labels = append(labels, tok)
-				}
-			} else {
-				n, err := parseCol(tok)
-				if err != nil {
-					return nil, fmt.Errorf("matrix: appending to an unlabeled dataset: %w", err)
-				}
-				id = n
-			}
-			row = append(row, id)
-		}
-		b.AddRow(row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	appended := b.Build()
-	if appended.NumCols() > cols {
-		cols = appended.NumCols()
-	}
-	if labeled && len(labels) > cols {
-		cols = len(labels)
-	}
-	rows := make([][]Col, 0, m.NumRows()+appended.NumRows())
-	rows = append(rows, m.rows...)
-	rows = append(rows, appended.rows...)
-	out := FromRows(cols, rows)
-	if labeled {
-		// Every minted id came from a label, so the two always agree;
-		// padding covers an unlabeled-width quirk defensively.
-		for len(labels) < cols {
-			labels = append(labels, fmt.Sprintf("c%d", len(labels)))
-		}
 		out.SetLabels(labels)
 	}
 	return out, nil

@@ -95,18 +95,15 @@ func (b *RowBlock) Append(row []Col) {
 	b.offs = append(b.offs, int32(len(b.cols)))
 }
 
-// AppendRawRow appends one raw-row record (WriteRawRow's encoding) to
-// dst and returns the extended slice — the allocation-free builder the
-// block writer frames payloads with.
+// AppendRawRow appends one raw-row record (uvarint weight, then
+// delta-encoded uvarint column ids) to dst and returns the extended
+// slice. It is the one row encoder: the DMCB body, the block writer's
+// frame payloads and WriteRawRow's bucket records are all built with it.
 func AppendRawRow(dst []byte, row []Col) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	prev := uint64(0)
-	for i, c := range row {
-		delta := uint64(c) - prev
-		if i == 0 {
-			delta = uint64(c)
-		}
-		dst = binary.AppendUvarint(dst, delta)
+	for _, c := range row {
+		dst = binary.AppendUvarint(dst, uint64(c)-prev)
 		prev = uint64(c)
 	}
 	return dst

@@ -121,52 +121,53 @@ func parseRowLine(s string, cols int) ([]Col, error) {
 	return row, nil
 }
 
-// WriteBinary writes m in the binary format.
+// binaryChunk is the buffer WriteBinary streams a matrix through.
+const binaryChunk = 64 << 10
+
+// WriteBinary writes m in the binary format. It fills one binaryChunk
+// buffer at a time, so a large matrix is never held twice in memory.
 func WriteBinary(w io.Writer, m *Matrix) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	for _, v := range []uint64{binaryVersion, uint64(m.NumRows()), uint64(m.NumCols())} {
-		if err := putUvarint(v); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < m.NumRows(); i++ {
-		row := m.Row(i)
-		if err := putUvarint(uint64(len(row))); err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for j, c := range row {
-			delta := uint64(c) - prev
-			if j == 0 {
-				delta = uint64(c)
-			}
-			if err := putUvarint(delta); err != nil {
+	width := varintWidth(m)
+	buf := appendBinaryHeader(make([]byte, 0, binaryChunk), m)
+	for _, row := range m.rows {
+		if len(buf)+(len(row)+1)*width > binaryChunk {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			prev = uint64(c)
+			buf = buf[:0]
 		}
+		buf = AppendRawRow(buf, row)
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // EncodeBinary returns m in the binary format as a byte slice — the
 // content-addressed blob form used by the dataset store, where the
-// bytes are hashed before they are committed.
+// bytes are hashed before they are committed. The slice is allocated
+// once, at a size no encoding of m can exceed.
 func EncodeBinary(m *Matrix) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, m); err != nil {
-		return nil, err
+	size := len(binaryMagic) + 3*binary.MaxVarintLen64 + (m.NumRows()+m.NumOnes())*varintWidth(m)
+	buf := appendBinaryHeader(make([]byte, 0, size), m)
+	for _, row := range m.rows {
+		buf = AppendRawRow(buf, row)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
+}
+
+// appendBinaryHeader appends the magic, the version and m's dimensions.
+func appendBinaryHeader(dst []byte, m *Matrix) []byte {
+	dst = append(dst, binaryMagic...)
+	dst = binary.AppendUvarint(dst, binaryVersion)
+	dst = binary.AppendUvarint(dst, uint64(m.NumRows()))
+	return binary.AppendUvarint(dst, uint64(m.NumCols()))
+}
+
+// varintWidth bounds the bytes of every varint in m's row records: a
+// row weight is at most NumCols and a column delta is below it.
+func varintWidth(m *Matrix) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(m.NumCols()))
 }
 
 // EncodeLabels returns the labels file contents as a byte slice.

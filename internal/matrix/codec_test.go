@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -125,6 +127,106 @@ func TestBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE"))); !errors.Is(err, ErrFormat) {
 		t.Errorf("bad magic: %v", err)
 	}
+}
+
+// referenceEncode is the binary encoder written out one varint at a
+// time, kept as the reference the production encoders must match.
+func referenceEncode(m *Matrix) []byte {
+	var out bytes.Buffer
+	var buf [binary.MaxVarintLen64]byte
+	put := func(v uint64) { out.Write(buf[:binary.PutUvarint(buf[:], v)]) }
+	out.WriteString("DMCB")
+	put(1)
+	put(uint64(m.NumRows()))
+	put(uint64(m.NumCols()))
+	for i := 0; i < m.NumRows(); i++ {
+		put(uint64(m.RowWeight(i)))
+		prev := uint64(0)
+		for _, c := range m.Row(i) {
+			put(uint64(c) - prev)
+			prev = uint64(c)
+		}
+	}
+	return out.Bytes()
+}
+
+// checkEncoders asserts that EncodeBinary and WriteBinary both write
+// referenceEncode's bytes for m.
+func checkEncoders(t *testing.T, m *Matrix) {
+	t.Helper()
+	want := referenceEncode(m)
+	got, err := EncodeBinary(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeBinary differs from the reference encoder (%d vs %d bytes)", len(got), len(want))
+	}
+	var w bytes.Buffer
+	if err := WriteBinary(&w, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("WriteBinary differs from the reference encoder (%d vs %d bytes)", w.Len(), len(want))
+	}
+}
+
+// TestEncodeBinaryGolden pins the DMCB bytes: store blob names, cache
+// keys and fleet replica identities are hashes of them. The literal was
+// written by the earlier varint-at-a-time encoder; the fixture has
+// empty rows and column ids at the 1/2/3-byte varint edges.
+func TestEncodeBinaryGolden(t *testing.T) {
+	m := FromRows(16385, [][]Col{
+		{},
+		{0, 127, 128},
+		{127},
+		{128},
+		{16383},
+		{16384},
+		{1, 16383, 16384},
+		{0, 128, 16384},
+		{},
+	})
+	const want = "444d434201098180010003007f01017f01800101ff7f018080010301fe7f0103008001807f00"
+	got, err := EncodeBinary(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("EncodeBinary = %x\nwant          %s", got, want)
+	}
+	checkEncoders(t, m)
+}
+
+// TestEncodersAgree: on random matrices — narrow and wide, and large
+// enough that WriteBinary flushes its buffer many times, including a
+// row bigger than the buffer — both encoders write the reference bytes.
+func TestEncodersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 40; i++ {
+		checkEncoders(t, randomMatrix(rng, rng.Intn(60), 1+rng.Intn(300), rng.Float64()*0.3))
+	}
+	for _, cols := range []int{128, 20000, 3 << 20} {
+		checkEncoders(t, randomWide(rng, 4000, cols, 12))
+	}
+	huge := make([]Col, 0, 40000)
+	for c := Col(0); len(huge) < cap(huge); c += 200 {
+		huge = append(huge, c)
+	}
+	checkEncoders(t, FromRows(8<<20, [][]Col{{1}, huge, {}, huge[:10]}))
+}
+
+// randomWide draws n rows of up to k ones each over cols columns.
+func randomWide(rng *rand.Rand, n, cols, k int) *Matrix {
+	b := NewBuilder(cols)
+	for i := 0; i < n; i++ {
+		row := make([]Col, rng.Intn(k+1))
+		for j := range row {
+			row[j] = Col(rng.Intn(cols))
+		}
+		b.AddRow(row)
+	}
+	return b.Build()
 }
 
 func TestQuickCodecRoundTrip(t *testing.T) {

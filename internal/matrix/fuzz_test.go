@@ -3,6 +3,7 @@ package matrix
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,61 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		roundTrip(t, m)
+	})
+}
+
+// FuzzEncodeBinary builds a valid matrix from arbitrary bytes — read
+// as uvarints, where 0 ends a row and v > 0 steps v-1 columns past the
+// previous one (the row's first column is v-1) — widened by extra
+// columns. EncodeBinary must write the reference encoder's bytes, and
+// ReadBinary must give the matrix back.
+func FuzzEncodeBinary(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0, 0}, uint16(3))
+	f.Add([]byte{1, 1, 0, 0x80, 0x01, 0x80, 0x80, 0x01, 0}, uint16(0))
+	f.Add([]byte{0x80, 0x80, 0x01, 0x7f, 0, 2, 1, 1}, uint16(500))
+	f.Fuzz(func(t *testing.T, in []byte, extra uint16) {
+		var rows [][]Col
+		var row []Col
+		width := 0
+		for len(in) > 0 {
+			v, n := binary.Uvarint(in)
+			if n <= 0 {
+				break
+			}
+			in = in[n:]
+			if v == 0 {
+				rows, row = append(rows, row), nil
+				continue
+			}
+			next := v - 1
+			if len(row) > 0 {
+				next = uint64(row[len(row)-1]) + v
+			}
+			if next >= 1<<31 {
+				break
+			}
+			row = append(row, Col(next))
+			width = max(width, int(next)+1)
+		}
+		if row != nil {
+			rows = append(rows, row)
+		}
+		m := FromRows(width+int(extra), rows)
+		got, err := EncodeBinary(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, referenceEncode(m)) {
+			t.Fatalf("EncodeBinary differs from the reference encoder")
+		}
+		back, err := ReadBinary(bytes.NewReader(got))
+		if err != nil {
+			t.Fatalf("ReadBinary of EncodeBinary's output: %v", err)
+		}
+		if !matricesEqual(m, back) {
+			t.Fatal("binary round trip changed the matrix")
+		}
 	})
 }
 

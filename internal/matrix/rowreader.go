@@ -176,28 +176,11 @@ func (b *BinaryRowReader) Next() ([]Col, error) {
 	return row, nil
 }
 
-// WriteRawRow appends one row in the binary body encoding (uvarint
-// weight, then delta-encoded uvarint column ids) — the record format of
-// the stream package's bucket files.
+// WriteRawRow appends one row in the binary body encoding (AppendRawRow's
+// record) — the record format of the stream package's bucket files.
 func WriteRawRow(w *bufio.Writer, row []Col) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(row)))
-	if _, err := w.Write(buf[:n]); err != nil {
-		return err
-	}
-	prev := uint64(0)
-	for i, c := range row {
-		delta := uint64(c) - prev
-		if i == 0 {
-			delta = uint64(c)
-		}
-		n := binary.PutUvarint(buf[:], delta)
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-		prev = uint64(c)
-	}
-	return nil
+	_, err := w.Write(AppendRawRow(w.AvailableBuffer(), row))
+	return err
 }
 
 // ReadRawRow reads one row written by WriteRawRow into buf (which it

@@ -9,10 +9,12 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dmc/internal/cache"
+	"dmc/internal/matrix"
 	"dmc/internal/obs"
 	"dmc/internal/store"
 )
@@ -370,6 +372,38 @@ func TestAppendValidation(t *testing.T) {
 	doPut(t, ts2.URL, "d", "a b\n")
 	if resp := doAppend(t, ts2.URL, "d", "# only a comment\n"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty append: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestAppendWidthLimit: an append to an unlabeled dataset may widen it
+// by at most its count of ones. The 11-byte body "0 50000000\n" asks for
+// 50 million columns: it gets 400, leaves the dataset as it was, and
+// allocates nothing sized by that width (one 8-byte counter per column
+// alone would be 400 MB).
+func TestAppendWidthLimit(t *testing.T) {
+	s, ts := cachedTestServer(t)
+	s.Add("u", matrix.FromRows(3, [][]matrix.Col{{0, 1}, {1, 2}, {0, 2}}))
+	var before, after DatasetInfo
+	getJSON(t, ts.URL+"/v1/datasets/u", http.StatusOK, &before)
+
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	resp := doAppend(t, ts.URL, "u", "0 50000000\n")
+	runtime.ReadMemStats(&ms1)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wide append: %d, want 400", resp.StatusCode)
+	}
+	if d := ms1.TotalAlloc - ms0.TotalAlloc; d > 32<<20 {
+		t.Fatalf("rejected append allocated %d bytes", d)
+	}
+	getJSON(t, ts.URL+"/v1/datasets/u", http.StatusOK, &after)
+	if after != before {
+		t.Fatalf("dataset after a rejected append = %+v, want %+v", after, before)
+	}
+
+	// Widening by up to the batch's ones is still an append.
+	if r := doAppendJSON(t, ts.URL, "u", "2 4\n"); r.Rows != 4 || r.Cols != 5 {
+		t.Fatalf("append within the limit = %+v, want 4 rows x 5 cols", r)
 	}
 }
 

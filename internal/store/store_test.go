@@ -92,6 +92,30 @@ func TestStorePutGetReplay(t *testing.T) {
 }
 
 // Identical content under two names shares one content-addressed blob.
+// TestContentHashGolden pins the content address of a labeled fixture.
+// Blob names, mine-cache keys and fleet replica identities are this
+// hash, so a change to the encoded bytes orphans every stored entry.
+// The literal was computed with the earlier varint-at-a-time encoder.
+func TestContentHashGolden(t *testing.T) {
+	m := matrix.FromRows(4, [][]matrix.Col{{0, 1}, {}, {1, 2, 3}, {3}})
+	m.SetLabels([]string{"bread", "butter", "jam", "tea"})
+	got, err := ContentHash(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "sha256-c69963ea5c0800aee4dc14a181465543"
+	if got != want {
+		t.Fatalf("ContentHash = %s, want %s", got, want)
+	}
+	e, err := openStore(t, t.TempDir(), Options{}).Put("d", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Hash != want {
+		t.Fatalf("Put hash = %s, want %s", e.Hash, want)
+	}
+}
+
 func TestStoreContentAddressedDedupe(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
