@@ -60,9 +60,10 @@ bench-compare:
 
 # The robustness acceptance matrix under the race detector:
 # deterministic fault injection (failed/short reads, torn writes,
-# ENOSPC, CRC corruption), mid-pass cancellation, checkpoint/resume,
-# and the SIGKILL + -resume smoke — every cell must end in exact rules
-# or a typed error.
+# ENOSPC, CRC corruption) at 1, 2 and 8 workers over the CRC-framed
+# spill codec, mid-pass cancellation, checkpoint/resume, and the
+# SIGKILL + -resume smoke — every cell must end in exact rules or a
+# typed error.
 fault-matrix:
 	$(GO) test -race -run 'Fault|Cancel|Corrupt|Checkpoint|Budget|Retry|Injector' ./internal/fault ./internal/stream ./internal/core ./internal/server .
 	$(GO) test -race -run 'KillResume' ./cmd/dmcmine

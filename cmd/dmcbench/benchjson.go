@@ -49,14 +49,12 @@ type BenchFile struct {
 
 // BenchPoint is one measured cell of the grid. Engine "serial" is the
 // single-threaded pipeline; "parallel" is the §7 column-partitioned one
-// at the given worker count; "stream-serial" mines from disk with the
-// legacy row-at-a-time spill codec (the pre-block-codec configuration)
-// and "stream-parallel" with the framed codec, prefetch and worker
-// fan-out. Variant "bitmap" forces the DMC-bitmap switch for the last
-// 4,096 rows regardless of counter memory (whole-run on smaller sets).
-// GOMAXPROCS is the scheduler width the point ran
-// under — set to the worker count for parallel engines, 1 for serial
-// ones — and is part of the point's identity: -compare refuses to
+// at the given worker count; "stream-parallel" mines from disk through
+// the framed spill codec with prefetch and worker fan-out. Variant
+// "bitmap" forces the DMC-bitmap switch for the last 4,096 rows
+// regardless of counter memory (whole-run on smaller sets).
+// GOMAXPROCS is the scheduler width the point ran under — set to the
+// worker count for parallel engines, 1 for serial ones — and is part of the point's identity: -compare refuses to
 // compare points measured at different widths, because a w4 number from
 // a 1-core box and one from a 16-core box are different experiments.
 // PeakCounterBytes and TailBitmapBytes follow the paper's memory model
@@ -68,7 +66,7 @@ type BenchPoint struct {
 	Name             string  `json:"name"`
 	Mode             string  `json:"mode"`    // imp | sim
 	Variant          string  `json:"variant"` // default | bitmap
-	Engine           string  `json:"engine"`  // serial | parallel | stream-serial | stream-parallel
+	Engine           string  `json:"engine"`  // serial | parallel | stream-parallel | fleet
 	Workers          int     `json:"workers"`
 	GOMAXPROCS       int     `json:"gomaxprocs,omitempty"`
 	Iters            int     `json:"iters"`
@@ -144,9 +142,8 @@ func runBenchJSON(path string, benchTime time.Duration, scale float64, seed int6
 	}
 
 	// The out-of-core grid: the same dataset written to disk and mined
-	// through the streaming engine, old spill path vs the framed
-	// parallel one. Default variant only — the disk path dominates here,
-	// not the bitmap switch.
+	// through the streaming engine at each worker count. Default variant
+	// only — the disk path dominates here, not the bitmap switch.
 	tmp, err := os.MkdirTemp("", "dmcbench-stream-")
 	if err != nil {
 		return err
@@ -343,10 +340,8 @@ func mineRuns(m *matrix.Matrix, th core.Threshold, opts core.Options, mode strin
 	return runs
 }
 
-// streamRuns is the disk-path grid for one mode: "stream-serial" is the
-// pre-block-codec configuration (legacy unframed spill codec, no
-// prefetch overlap, one worker); "stream-parallel" is the framed codec
-// with double-buffered prefetch at increasing worker counts.
+// streamRuns is the disk-path grid for one mode: the framed codec with
+// double-buffered prefetch at increasing worker counts.
 func streamRuns(path string, th core.Threshold, mode string, workers []int) []mineRun {
 	mine := func(cfg stream.Config) (int, int, int) {
 		if mode == "imp" {
@@ -362,9 +357,7 @@ func streamRuns(path string, th core.Threshold, mode string, workers []int) []mi
 		}
 		return len(rs), st.PeakCounterBytes, st.TailBitmapBytes
 	}
-	runs := []mineRun{{label: "stream-serial", engine: "stream-serial", workers: 1, procs: 1, f: func() (int, int, int) {
-		return mine(stream.Config{Workers: 1, LegacyCodec: true, Prefetch: 1})
-	}}}
+	var runs []mineRun
 	for _, w := range workers {
 		w := w
 		runs = append(runs, mineRun{label: fmt.Sprintf("stream-w%d", w), engine: "stream-parallel", workers: w, procs: w, f: func() (int, int, int) {

@@ -75,7 +75,7 @@ func TestRunBenchJSONGrid(t *testing.T) {
 	for _, p := range doc.Points {
 		byName[p.Name] = p
 		switch p.Engine {
-		case "serial", "stream-serial":
+		case "serial":
 			if p.GOMAXPROCS != 1 {
 				t.Errorf("%s: gomaxprocs %d, want 1", p.Name, p.GOMAXPROCS)
 			}

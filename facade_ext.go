@@ -22,19 +22,20 @@ import (
 // each pipeline phase streams them back sparsest-first. Memory is
 // bounded by the counter array, exactly the paper's operating regime.
 func MineImplicationsFile(path string, minconf Threshold, opts Options) ([]Implication, Stats, error) {
-	return stream.MineImplications(path, minconf, opts)
+	return stream.MineImplicationsCfg(path, minconf, opts, StreamConfig{Workers: 1})
 }
 
 // MineSimilaritiesFile is MineImplicationsFile for similarity rules.
 func MineSimilaritiesFile(path string, minsim Threshold, opts Options) ([]Similarity, Stats, error) {
-	return stream.MineSimilarities(path, minsim, opts)
+	return stream.MineSimilaritiesCfg(path, minsim, opts, StreamConfig{Workers: 1})
 }
 
-// StreamConfig tunes the out-of-core miners: worker fan-out for the
-// replay passes and the partitioning pass, spill codec block sizes,
-// prefetch depth for the double-buffered reader, and the temporary
-// directory the density buckets spill to. The zero value streams
-// serially with the framed block codec and default buffers.
+// StreamConfig configures the out-of-core miners: the worker fan-out
+// for the partitioning pass and the replay passes, cancellation, and
+// the temporary directory the density buckets spill to. The zero value
+// runs one worker per CPU; MineImplicationsFile and
+// MineSimilaritiesFile run with Workers: 1. Spills are always
+// CRC-checked frames; frame size and prefetch depth are fixed.
 //
 // Setting CheckpointDir makes the partitioning pass durable: the
 // density buckets and their manifest survive the process, and a later

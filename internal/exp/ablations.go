@@ -118,7 +118,7 @@ func runStreamAblation(news gen.Dataset) (*Table, error) {
 	}
 	inMem := core.DMCImpEach(news.M, core.FromPercent(85), core.Options{}, func(rules.Implication) {})
 	t.AddRow("in-memory", inMem.Total.Milliseconds(), inMem.NumRules, kb(inMem.PeakCounterBytes))
-	streamed, stSt, err := stream.MineImplications(path, core.FromPercent(85), core.Options{})
+	streamed, stSt, err := stream.MineImplicationsCfg(path, core.FromPercent(85), core.Options{}, stream.Config{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -19,32 +19,27 @@ var ErrFrameCRC = errors.New("matrix: frame CRC mismatch")
 // castagnoli is the CRC-32C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// The block codec frames the raw-row encoding (uvarint weight, then
-// delta-encoded uvarint column ids — WriteRawRow's record format) into
+// The block codec frames raw-row records (uvarint weight, then
+// delta-encoded uvarint column ids — AppendRawRow's record format) into
 // self-describing frames of N rows each, so streamed replay can decode
 // a whole frame from one contiguous buffer instead of paying a bufio
 // call per varint. A stream is:
 //
-//	"DMCF" | uvarint version | frame*
-//	frame (v1): uvarint rowCount | uvarint payloadBytes | payload
-//	frame (v2): uvarint rowCount | uvarint payloadBytes | crc32 (4B LE) | payload
+//	"DMCF" | uvarint version (2) | frame*
+//	frame: uvarint rowCount | uvarint payloadBytes | crc32 (4B LE) | payload
 //
 // where payload is rowCount back-to-back raw-row records. The frame
 // header lets a reader size one io.ReadFull per frame and lets fuzzing
-// and corruption checks validate the payload length exactly. Version 2
-// adds a CRC-32C (Castagnoli) of the payload so a flipped bit in a
-// spill file is detected as ErrFrameCRC before any row is decoded —
-// the exactness guarantee requires that corruption never becomes a
-// plausible-but-wrong row. Writers emit v2; readers accept both. The
-// unframed stream of bare raw-row records (the spill format before this
-// codec) stays readable through ReadRowBlockLegacy and the
-// IsBlockStream sniff, so old spill files and external producers keep
-// working during migration.
+// and corruption checks validate the payload length exactly. The
+// CRC-32C (Castagnoli) of the payload means a flipped bit in a spill
+// file is detected as ErrFrameCRC before any row is decoded — the
+// exactness guarantee requires that corruption never becomes a
+// plausible-but-wrong row. Version 2 is the only version: a stream of
+// any other version (version 1 carried no CRC) is refused.
 
 const (
-	blockMagic     = "DMCF"
-	blockVersionV1 = 1
-	blockVersion   = 2
+	blockMagic   = "DMCF"
+	blockVersion = 2
 
 	// DefaultBlockRows and DefaultBlockBytes bound a frame: a frame
 	// closes at whichever limit trips first. 512 rows keeps the
@@ -97,8 +92,8 @@ func (b *RowBlock) Append(row []Col) {
 
 // AppendRawRow appends one raw-row record (uvarint weight, then
 // delta-encoded uvarint column ids) to dst and returns the extended
-// slice. It is the one row encoder: the DMCB body, the block writer's
-// frame payloads and WriteRawRow's bucket records are all built with it.
+// slice. It is the one row encoder: the DMCB body and the block
+// writer's frame payloads are both built with it.
 func AppendRawRow(dst []byte, row []Col) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	prev := uint64(0)
@@ -194,28 +189,10 @@ func writeFrame(w *bufio.Writer, nrows int, payload []byte) error {
 	return err
 }
 
-// WriteRowBlock writes the rows of b as a single frame — the batched
-// counterpart of WriteRawRow for callers that already hold a block.
-// The stream header must have been written (NewBlockWriter does, or
-// use a BlockWriter throughout).
-func WriteRowBlock(w *bufio.Writer, b *RowBlock) error {
-	if b.Len() == 0 {
-		return nil
-	}
-	var payload []byte
-	for i := 0; i < b.Len(); i++ {
-		payload = AppendRawRow(payload, b.Row(i))
-	}
-	return writeFrame(w, b.Len(), payload)
-}
-
 // BlockReader decodes a block-framed row stream written by BlockWriter.
-// It reads both codec versions: v1 (no per-frame CRC) and v2 (CRC-32C
-// per frame).
 type BlockReader struct {
 	br      *bufio.Reader
 	cols    int
-	version uint64
 	frames  int64
 	payload []byte
 }
@@ -228,10 +205,10 @@ func NewBlockReader(br *bufio.Reader, cols int) (*BlockReader, error) {
 		return nil, fmt.Errorf("%w: bad block-stream magic", ErrFormat)
 	}
 	version, err := binary.ReadUvarint(br)
-	if err != nil || version < blockVersionV1 || version > blockVersion {
+	if err != nil || version != blockVersion {
 		return nil, fmt.Errorf("%w: unsupported block-stream version", ErrFormat)
 	}
-	return &BlockReader{br: br, cols: cols, version: version}, nil
+	return &BlockReader{br: br, cols: cols}, nil
 }
 
 // Frames returns the number of frames fully decoded so far — the index
@@ -239,17 +216,6 @@ func NewBlockReader(br *bufio.Reader, cols int) (*BlockReader, error) {
 // uses it to skip already-consumed frames when re-reading a bucket
 // after a CRC failure.
 func (r *BlockReader) Frames() int64 { return r.frames }
-
-// IsBlockStream reports whether the buffered reader is positioned at a
-// block-framed stream (vs. the legacy unframed raw-row format), without
-// consuming input. A legacy stream starting with the bytes "DMCF" would
-// be a row of weight 68 whose first three columns are 77, 144, 214 —
-// reachable in principle, which is why spill bookkeeping records the
-// format explicitly and this sniff is only for migrating foreign files.
-func IsBlockStream(br *bufio.Reader) bool {
-	head, err := br.Peek(len(blockMagic))
-	return err == nil && string(head) == blockMagic
-}
 
 // ReadRowBlock decodes the next frame into b (resetting it), returning
 // io.EOF at a clean end of stream. The whole payload is read with one
@@ -273,14 +239,11 @@ func (r *BlockReader) ReadRowBlock(b *RowBlock) error {
 	if plen == 0 || plen > maxFramePayload {
 		return fmt.Errorf("%w: implausible frame payload %d bytes", ErrFormat, plen)
 	}
-	var wantCRC uint32
-	if r.version >= 2 {
-		var crcBuf [crc32.Size]byte
-		if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
-			return fmt.Errorf("%w: truncated frame CRC: %v", ErrFormat, err)
-		}
-		wantCRC = binary.LittleEndian.Uint32(crcBuf[:])
+	var crcBuf [crc32.Size]byte
+	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
+		return fmt.Errorf("%w: truncated frame CRC: %v", ErrFormat, err)
 	}
+	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
 	if cap(r.payload) < int(plen) {
 		r.payload = make([]byte, plen)
 	}
@@ -288,11 +251,9 @@ func (r *BlockReader) ReadRowBlock(b *RowBlock) error {
 	if _, err := io.ReadFull(r.br, r.payload); err != nil {
 		return fmt.Errorf("%w: truncated frame payload: %v", ErrFormat, err)
 	}
-	if r.version >= 2 {
-		if got := crc32.Checksum(r.payload, castagnoli); got != wantCRC {
-			return fmt.Errorf("%w: %w: frame %d (got %08x, want %08x)",
-				ErrFormat, ErrFrameCRC, r.frames, got, wantCRC)
-		}
+	if got := crc32.Checksum(r.payload, castagnoli); got != wantCRC {
+		return fmt.Errorf("%w: %w: frame %d (got %08x, want %08x)",
+			ErrFormat, ErrFrameCRC, r.frames, got, wantCRC)
 	}
 	if err := decodeFrame(r.payload, int(nrows), r.cols, b); err != nil {
 		return err
@@ -336,33 +297,6 @@ func decodeFrame(buf []byte, nrows, cols int, b *RowBlock) error {
 	}
 	if off != len(buf) {
 		return fmt.Errorf("%w: frame payload has %d trailing bytes", ErrFormat, len(buf)-off)
-	}
-	return nil
-}
-
-// ReadRowBlockLegacy fills b with up to maxRows rows from an unframed
-// raw-row stream (the spill format before the block codec), returning
-// io.EOF when the stream is exhausted and nothing was read. This is the
-// migration path: old spill files and foreign raw-row streams replay
-// through the same block-at-a-time pipeline as framed ones.
-func ReadRowBlockLegacy(br *bufio.Reader, cols, maxRows int, b *RowBlock) error {
-	if maxRows <= 0 {
-		maxRows = DefaultBlockRows
-	}
-	b.Reset()
-	for i := 0; i < maxRows; i++ {
-		if _, err := br.Peek(1); err == io.EOF {
-			break
-		}
-		cs, err := ReadRawRow(br, cols, b.cols)
-		if err != nil {
-			return err
-		}
-		b.cols = cs
-		b.offs = append(b.offs, int32(len(b.cols)))
-	}
-	if b.Len() == 0 {
-		return io.EOF
 	}
 	return nil
 }

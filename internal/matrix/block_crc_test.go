@@ -10,13 +10,13 @@ import (
 	"testing"
 )
 
-// writeV1Stream encodes rows as a version-1 block stream (no per-frame
-// CRC) — the format PR 3 shipped, which readers must keep accepting.
+// writeV1Stream encodes rows as a version-1 block stream: the frame
+// layout of version 2 without the per-frame CRC.
 func writeV1Stream(t *testing.T, rows [][]Col, perFrame int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString(blockMagic)
-	buf.WriteByte(blockVersionV1)
+	buf.WriteByte(1)
 	for start := 0; start < len(rows); start += perFrame {
 		end := start + perFrame
 		if end > len(rows) {
@@ -35,14 +35,16 @@ func writeV1Stream(t *testing.T, rows [][]Col, perFrame int) []byte {
 	return buf.Bytes()
 }
 
-func TestBlockV1StillReadable(t *testing.T) {
+// TestBlockV1Refused: a version-1 stream carries no CRC, so nothing
+// could tell its rows from corrupted ones. The reader refuses it at the
+// header instead of decoding a single frame.
+func TestBlockV1Refused(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const cols = 32
-	rows := randomRows(rng, 61, cols)
-	data := writeV1Stream(t, rows, 8)
-	got := readAllBlocks(t, data, cols)
-	if !rowsEqual(got, rows) {
-		t.Fatal("v1 stream did not replay exactly")
+	data := writeV1Stream(t, randomRows(rng, 61, cols), 8)
+	_, err := NewBlockReader(bufio.NewReader(bytes.NewReader(data)), cols)
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("version-1 stream: got %v, want ErrFormat", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package matrix
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/rand"
@@ -100,85 +101,36 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteRowBlockSingleFrame(t *testing.T) {
-	var blk RowBlock
-	blk.Reset()
-	rows := [][]Col{{0, 3, 9}, {}, {1}}
-	for _, r := range rows {
-		blk.Append(r)
-	}
+// TestBlockStreamGolden pins the spill bytes: a checkpoint written by
+// one build is replayed by the next, so the frame layout must not
+// drift. The literal was written by a BlockWriter with maxRows 2 (three
+// frames, the last one partial); the fixture has an empty row and
+// column ids at the 1/2/3-byte varint edges.
+func TestBlockStreamGolden(t *testing.T) {
+	rows := [][]Col{{0, 127, 128}, {}, {16383, 16384}, {1, 128, 16383}, {16384}}
+	const want = "444d43460202055d02c10403007f01000209cb5379df02ff7f0103017fff7e0104c6efad1701808001"
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if _, err := NewBlockWriter(w, 0, 0); err != nil { // header only
-		t.Fatal(err)
-	}
-	if err := WriteRowBlock(w, &blk); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readAllBlocks(t, buf.Bytes(), 10); !rowsEqual(got, rows) {
-		t.Fatal("WriteRowBlock frame did not round-trip")
-	}
-}
-
-// TestBlockLegacyRead covers the migration path: unframed raw-row
-// streams replay block-at-a-time, and the sniff tells them apart.
-func TestBlockLegacyRead(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const cols = 24
-	rows := randomRows(rng, 57, cols)
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	for _, row := range rows {
-		if err := WriteRawRow(w, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
-	if IsBlockStream(br) {
-		t.Fatal("legacy stream sniffed as framed")
-	}
-	var got [][]Col
-	var blk RowBlock
-	for {
-		err := ReadRowBlockLegacy(br, cols, 8, &blk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blk.Len() > 8 {
-			t.Fatalf("legacy block holds %d rows, max 8", blk.Len())
-		}
-		for i := 0; i < blk.Len(); i++ {
-			got = append(got, append([]Col(nil), blk.Row(i)...))
-		}
-	}
-	if !rowsEqual(got, rows) {
-		t.Fatal("legacy replay changed rows")
-	}
-
-	var fb bytes.Buffer
-	fw := bufio.NewWriter(&fb)
-	bw, err := NewBlockWriter(fw, 0, 0)
+	bw, err := NewBlockWriter(w, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.WriteRow(rows[0]); err != nil {
-		t.Fatal(err)
+	for _, row := range rows {
+		if err := bw.WriteRow(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !IsBlockStream(bufio.NewReader(bytes.NewReader(fb.Bytes()))) {
-		t.Fatal("framed stream not sniffed")
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("BlockWriter = %s\nwant          %s", got, want)
+	}
+	if bw.Frames() != 3 {
+		t.Fatalf("BlockWriter emitted %d frames, want 3", bw.Frames())
+	}
+	if got := readAllBlocks(t, buf.Bytes(), 16385); !rowsEqual(got, rows) {
+		t.Fatal("golden stream did not decode to its rows")
 	}
 }
 

@@ -103,67 +103,73 @@ func FuzzEncodeBinary(f *testing.F) {
 	})
 }
 
-func FuzzBlockCodec(f *testing.F) {
-	var seed bytes.Buffer
-	w := bufio.NewWriter(&seed)
-	if bw, err := NewBlockWriter(w, 2, 0); err == nil {
-		m := fig1()
-		for i := 0; i < m.NumRows(); i++ {
-			if err := bw.WriteRow(m.Row(i)); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			f.Fatal(err)
+// blockStream writes rows as a block stream with at most maxRows rows
+// per frame.
+func blockStream(tb testing.TB, maxRows int, rows ...[]Col) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	bw, err := NewBlockWriter(w, maxRows, maxFramePayload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, row := range rows {
+		if err := bw.WriteRow(row); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	f.Add(seed.Bytes(), uint16(3))
-	f.Add([]byte("DMCF\x01"), uint16(8))
-	f.Add([]byte("DMCF\x01\x01\x01\x00"), uint16(1))
-	// v2 seeds: bare header, truncated CRC field, and a bit-flip corpus
-	// over the valid v2 seed so the fuzzer explores CRC-mismatch paths.
+	if err := bw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func FuzzBlockCodec(f *testing.F) {
+	m := fig1()
+	rows := make([][]Col, m.NumRows())
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	seed := blockStream(f, 2, rows...)
+	f.Add(seed, uint16(3))
+	// One-frame streams, so the fuzzer starts inside a valid frame: an
+	// empty row, and a one-column row.
+	f.Add(blockStream(f, 1, []Col{}), uint16(8))
+	f.Add(blockStream(f, 1, []Col{0}), uint16(1))
+	// A bare header, a truncated CRC field, and a bit-flip corpus over
+	// the valid seed so the fuzzer explores CRC-mismatch paths.
 	f.Add([]byte("DMCF\x02"), uint16(8))
 	f.Add([]byte("DMCF\x02\x01\x01\xde\xad"), uint16(1))
-	if s := seed.Bytes(); len(s) > 8 {
-		flipped := append([]byte(nil), s...)
-		flipped[6] ^= 0x01
-		f.Add(flipped, uint16(3))
-		flipped2 := append([]byte(nil), s...)
-		flipped2[len(s)-1] ^= 0x80
-		f.Add(flipped2, uint16(3))
-	}
+	flipped := append([]byte(nil), seed...)
+	flipped[6] ^= 0x01
+	f.Add(flipped, uint16(3))
+	flipped2 := append([]byte(nil), seed...)
+	flipped2[len(seed)-1] ^= 0x80
+	f.Add(flipped2, uint16(3))
 	f.Fuzz(func(t *testing.T, in []byte, cols uint16) {
 		br, err := NewBlockReader(bufio.NewReader(bytes.NewReader(in)), int(cols))
 		if err != nil {
 			return
 		}
-		// Everything that decodes must re-encode and re-decode to the
-		// same rows — the block-codec round trip.
+		// Every frame that decodes must re-encode through BlockWriter
+		// as one frame and re-decode to the same rows — the block-codec
+		// round trip.
 		var blk RowBlock
 		for {
 			if err := br.ReadRowBlock(&blk); err != nil {
 				return
 			}
-			var buf bytes.Buffer
-			bw := bufio.NewWriter(&buf)
-			if _, err := NewBlockWriter(bw, 0, 0); err != nil {
-				t.Fatal(err)
+			rows := make([][]Col, blk.Len())
+			for i := range rows {
+				rows[i] = blk.Row(i)
 			}
-			if err := WriteRowBlock(bw, &blk); err != nil {
-				t.Fatal(err)
-			}
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			rd, err := NewBlockReader(bufio.NewReader(&buf), int(cols))
+			rd, err := NewBlockReader(bufio.NewReader(bytes.NewReader(blockStream(t, len(rows), rows...))), int(cols))
 			if err != nil {
 				t.Fatalf("re-read header: %v", err)
 			}
 			var back RowBlock
-			if blk.Len() > 0 {
-				if err := rd.ReadRowBlock(&back); err != nil {
-					t.Fatalf("re-decode: %v", err)
-				}
+			if err := rd.ReadRowBlock(&back); err != nil {
+				t.Fatalf("re-decode: %v", err)
 			}
 			if back.Len() != blk.Len() {
 				t.Fatalf("round trip changed row count: %d != %d", back.Len(), blk.Len())

@@ -176,15 +176,8 @@ func (b *BinaryRowReader) Next() ([]Col, error) {
 	return row, nil
 }
 
-// WriteRawRow appends one row in the binary body encoding (AppendRawRow's
-// record) — the record format of the stream package's bucket files.
-func WriteRawRow(w *bufio.Writer, row []Col) error {
-	_, err := w.Write(AppendRawRow(w.AvailableBuffer(), row))
-	return err
-}
-
-// ReadRawRow reads one row written by WriteRawRow into buf (which it
-// may grow), validating against the column count.
+// ReadRawRow reads one AppendRawRow record into buf (which it may
+// grow), validating against the column count.
 func ReadRawRow(br *bufio.Reader, cols int, buf []Col) ([]Col, error) {
 	weight, err := binary.ReadUvarint(br)
 	if err != nil {

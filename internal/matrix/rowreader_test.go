@@ -142,17 +142,11 @@ func TestOpenRowReader(t *testing.T) {
 
 func TestRawRowRoundTrip(t *testing.T) {
 	rows := [][]Col{{}, {0}, {1, 5, 9}, {0, 1, 2, 3}}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
+	var enc []byte
 	for _, r := range rows {
-		if err := WriteRawRow(w, r); err != nil {
-			t.Fatal(err)
-		}
+		enc = AppendRawRow(enc, r)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(&buf)
+	br := bufio.NewReader(bytes.NewReader(enc))
 	for i, want := range rows {
 		got, err := ReadRawRow(br, 10, nil)
 		if err != nil {
@@ -171,13 +165,8 @@ func TestRawRowRoundTrip(t *testing.T) {
 
 func TestReadRawRowErrors(t *testing.T) {
 	// Column out of range for declared width.
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRawRow(w, []Col{4}); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	if _, err := ReadRawRow(bufio.NewReader(&buf), 3, nil); err == nil {
+	enc := AppendRawRow(nil, []Col{4})
+	if _, err := ReadRawRow(bufio.NewReader(bytes.NewReader(enc)), 3, nil); err == nil {
 		t.Error("out-of-range raw row accepted")
 	}
 	// Truncated stream.

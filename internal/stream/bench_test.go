@@ -11,11 +11,10 @@ import (
 	"dmc/internal/matrix"
 )
 
-// Streaming benchmarks: the replay fast path (legacy unframed codec vs
-// the framed block codec, across prefetch depths), the partitioning
-// pass (serial vs sharded), and the end-to-end disk miners. Rows/sec
-// comes from b.ReportMetric, MB/sec from b.SetBytes over the spilled
-// byte volume — the figures EXPERIMENTS.md's streaming section quotes.
+// Streaming benchmarks: the replay fast path, the partitioning pass
+// (serial vs sharded), and the end-to-end disk miners. Rows/sec comes
+// from b.ReportMetric, MB/sec from b.SetBytes over the spilled byte
+// volume — the figures EXPERIMENTS.md's streaming section quotes.
 
 func benchInput(b *testing.B, rows int) (string, *matrix.Matrix) {
 	b.Helper()
@@ -29,45 +28,32 @@ func benchInput(b *testing.B, rows int) (string, *matrix.Matrix) {
 }
 
 // BenchmarkReplayPass measures one full pass over the spilled buckets —
-// the unit the miners repeat per phase — for the legacy row-at-a-time
-// codec and the framed block codec at prefetch depths 1 and 2.
+// the unit the miners repeat per phase.
 func BenchmarkReplayPass(b *testing.B) {
 	path, m := benchInput(b, 4000)
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"legacy", Config{LegacyCodec: true, Prefetch: 1}},
-		{"framed-prefetch1", Config{Prefetch: 1}},
-		{"framed-prefetch2", Config{Prefetch: 2}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			c.cfg.TmpDir = b.TempDir()
-			p, err := PartitionWith(path, c.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			var spilled int64
-			for _, bk := range p.buckets {
-				fi, err := os.Stat(bk.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spilled += fi.Size()
-			}
-			b.SetBytes(spilled)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rows := p.Pass()
-				n := rows.Len()
-				for j := 0; j < n; j++ {
-					rows.Row(j)
-				}
-			}
-			b.ReportMetric(float64(m.NumRows()*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+	p, err := PartitionWith(path, Config{TmpDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer p.Close()
+	var spilled int64
+	for _, bk := range p.buckets {
+		fi, err := os.Stat(bk.path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spilled += fi.Size()
+	}
+	b.SetBytes(spilled)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows := p.Pass()
+		n := rows.Len()
+		for j := 0; j < n; j++ {
+			rows.Row(j)
+		}
+	}
+	b.ReportMetric(float64(m.NumRows()*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkPartition measures the spill-building pass from a binary
@@ -82,7 +68,7 @@ func BenchmarkPartition(b *testing.B) {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			b.SetBytes(fi.Size())
 			for i := 0; i < b.N; i++ {
-				p, err := PartitionWith(path, Config{TmpDir: b.TempDir(), PartitionWorkers: w})
+				p, err := PartitionWith(path, Config{TmpDir: b.TempDir(), Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,8 +81,8 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamMine is the end-to-end disk miner: serial legacy path
-// (the pre-block-codec configuration) against the framed parallel one.
+// BenchmarkStreamMine is the end-to-end disk miner at one and two
+// workers.
 func BenchmarkStreamMine(b *testing.B) {
 	path, m := benchInput(b, 2000)
 	th := core.FromPercent(85)
@@ -104,7 +90,6 @@ func BenchmarkStreamMine(b *testing.B) {
 		name string
 		cfg  Config
 	}{
-		{"serial-legacy", Config{Workers: 1, LegacyCodec: true, Prefetch: 1}},
 		{"parallel-framed-w1", Config{Workers: 1}},
 		{"parallel-framed-w2", Config{Workers: 2}},
 	} {

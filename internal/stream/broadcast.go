@@ -55,7 +55,7 @@ func (p *Partitioned) ConcurrentPass(n int) []core.Rows {
 	rows := make([]core.Rows, n)
 	r.views = make([]*view, n)
 	for i := range rows {
-		v := &view{r: r, total: p.rows, ch: make(chan *sharedBlock, p.cfg.prefetch()), done: make(chan struct{})}
+		v := &view{r: r, total: p.rows, ch: make(chan *sharedBlock, prefetchFrames), done: make(chan struct{})}
 		r.views[i] = v
 		rows[i] = v
 	}
@@ -179,12 +179,11 @@ func (r *passReader) readBuckets() (int, error) {
 // readBucket streams one spill segment to the views, surviving two
 // failure classes: transient byte-level I/O (retried inside
 // fault.RetryReader, byte-identical re-issue via ReadAt) and detected
-// frame corruption (CRC mismatch in the framed codec). The latter gets
-// a bounded whole-segment re-read that decodes-and-discards the frames
-// already delivered — consumers never see a duplicate, reordered, or
-// corrupt row; if the corruption persists the typed error names the
-// bucket, segment, and frame. Legacy segments carry no CRC, so only
-// the byte-level retry applies there.
+// frame corruption (a frame CRC mismatch). The latter gets a bounded
+// whole-segment re-read that decodes-and-discards the frames already
+// delivered — consumers never see a duplicate, reordered, or corrupt
+// row; if the corruption persists the typed error names the bucket,
+// segment, and frame.
 func (r *passReader) readBucket(b bucket) (int, error) {
 	attempts := r.p.cfg.Retry.Attempts()
 	delivered := 0
@@ -199,7 +198,7 @@ func (r *passReader) readBucket(b bucket) (int, error) {
 			}
 			return delivered, nil
 		}
-		if b.legacy || !errors.Is(err, matrix.ErrFrameCRC) || attempt >= attempts {
+		if !errors.Is(err, matrix.ErrFrameCRC) || attempt >= attempts {
 			if errors.Is(err, matrix.ErrFrameCRC) {
 				fault.RecordRetry("exhausted")
 			}
@@ -227,12 +226,10 @@ func (r *passReader) readSegment(b bucket, skip int64) (int, int64, error) {
 		f.Close()
 		r.p.openFDs.Add(-1)
 	}()
-	br := bufio.NewReaderSize(fault.NewRetryReader(r.p.cfg.Ctx, f, r.p.cfg.Retry), r.p.cfg.readBufBytes())
-	var brd *matrix.BlockReader
-	if !b.legacy {
-		if brd, err = matrix.NewBlockReader(br, r.p.cols); err != nil {
-			return 0, 0, r.locate(b, -1, err)
-		}
+	br := bufio.NewReaderSize(fault.NewRetryReader(r.p.cfg.Ctx, f, r.p.cfg.Retry), readBufBytes)
+	brd, err := matrix.NewBlockReader(br, r.p.cols)
+	if err != nil {
+		return 0, 0, r.locate(b, -1, err)
 	}
 	if skip > 0 {
 		scratch := r.pool.Get().(*matrix.RowBlock)
@@ -248,14 +245,8 @@ func (r *passReader) readSegment(b bucket, skip int64) (int, int64, error) {
 	var frames int64
 	for {
 		blk := r.pool.Get().(*matrix.RowBlock)
-		var frameIdx int64
-		if brd != nil {
-			frameIdx = brd.Frames()
-			err = brd.ReadRowBlock(blk)
-		} else {
-			frameIdx = frames
-			err = matrix.ReadRowBlockLegacy(br, r.p.cols, r.p.cfg.blockRowsVal(), blk)
-		}
+		frameIdx := brd.Frames()
+		err := brd.ReadRowBlock(blk)
 		if err == io.EOF {
 			r.pool.Put(blk)
 			return delivered, frames, nil

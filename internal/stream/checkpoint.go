@@ -23,13 +23,17 @@ import (
 //  2. MANIFEST.json — the only thing resume trusts — is written the
 //     same way, strictly after every segment it names is committed;
 //  3. a fresh partition into the same directory deletes the manifest
-//     first and sweeps stale *.tmp, so a crash at any point leaves
-//     either a complete, trusted checkpoint or no manifest at all.
+//     first, then sweeps stale *.tmp and the previous partition's
+//     segments, so a crash at any point leaves either a complete,
+//     trusted checkpoint or no manifest at all, and a re-partition
+//     leaves no dead segments behind.
 
 const manifestName = "MANIFEST.json"
 
 // manifestVersion gates the resume format; bump on incompatible change.
-const manifestVersion = 1
+// Version 1 manifests could name unframed segments; they are refused,
+// so such a checkpoint is re-partitioned rather than trusted.
+const manifestVersion = 2
 
 var metricCheckpointWrites = obs.Default.Counter("dmc_checkpoint_writes_total",
 	"Checkpoint manifests committed (segment set durably on disk).")
@@ -54,24 +58,27 @@ type manifestSeg struct {
 	File   string `json:"file"` // relative to the checkpoint dir
 	Rows   int    `json:"rows"`
 	Size   int64  `json:"size"`
-	Legacy bool   `json:"legacy"`
 }
 
 // clearCheckpoint invalidates any previous checkpoint in dir before a
 // fresh partition writes into it: the manifest goes first (nothing
 // trusts the directory afterwards), then stale *.tmp from a crashed
-// writer are swept.
+// writer and the previous partition's segments are swept. A segment
+// set written at another worker count has other file names, so without
+// the sweep it would sit next to the new one as dead bytes.
 func clearCheckpoint(dir string) error {
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	stale, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if err != nil {
-		return err
-	}
-	for _, f := range stale {
-		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
+	for _, pattern := range []string{"*.tmp", "bucket-*.rows"} {
+		stale, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
 			return err
+		}
+		for _, f := range stale {
+			if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
+				return err
+			}
 		}
 	}
 	return nil
@@ -109,7 +116,6 @@ func writeManifest(input string, p *Partitioned) error {
 			File:   filepath.Base(b.path),
 			Rows:   b.rows,
 			Size:   sfi.Size(),
-			Legacy: b.legacy,
 		})
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
@@ -190,7 +196,7 @@ func tryResume(input string, cfg Config) (*Partitioned, error) {
 			return nil, fmt.Errorf("stream: checkpoint: segment %s is %d bytes, manifest says %d",
 				s.File, sfi.Size(), s.Size)
 		}
-		p.buckets = append(p.buckets, bucket{bkt: s.Bucket, path: path, rows: s.Rows, legacy: s.Legacy})
+		p.buckets = append(p.buckets, bucket{bkt: s.Bucket, path: path, rows: s.Rows})
 		rowSum += s.Rows
 	}
 	if rowSum != m.Rows {

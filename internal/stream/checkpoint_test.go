@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -16,39 +18,37 @@ import (
 // TestCheckpointResumeParity: a checkpointed mine followed by a resumed
 // mine of the same input yields the identical rule set, skips the
 // partition pass entirely (no new manifest commit), and works across
-// codecs and worker counts.
+// worker counts.
 func TestCheckpointResumeParity(t *testing.T) {
 	m := streamRandomMatrix(21, 400, 24)
 	path := writeTemp(t, m, matrix.ExtBinary)
 	want, _ := core.DMCImp(m, core.FromPercent(75), core.Options{})
 
-	for _, legacy := range []bool{false, true} {
-		ckpt := t.TempDir()
-		cfg := Config{CheckpointDir: ckpt, LegacyCodec: legacy, Workers: 2}
-		first, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := rules.DiffImplications(first, want); d != "" {
-			t.Fatalf("checkpointed mine diverged:\n%s", d)
-		}
-		if _, err := os.Stat(filepath.Join(ckpt, manifestName)); err != nil {
-			t.Fatalf("no manifest after checkpointed mine: %v", err)
-		}
+	ckpt := t.TempDir()
+	cfg := Config{CheckpointDir: ckpt, Workers: 2}
+	first, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rules.DiffImplications(first, want); d != "" {
+		t.Fatalf("checkpointed mine diverged:\n%s", d)
+	}
+	if _, err := os.Stat(filepath.Join(ckpt, manifestName)); err != nil {
+		t.Fatalf("no manifest after checkpointed mine: %v", err)
+	}
 
-		commits := metricCheckpointWrites.Value()
-		cfg.Resume = true
-		cfg.Workers = 8
-		resumed, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := rules.DiffImplications(resumed, want); d != "" {
-			t.Fatalf("resumed mine diverged:\n%s", d)
-		}
-		if got := metricCheckpointWrites.Value(); got != commits {
-			t.Fatalf("resume re-partitioned: %d new manifest commits", got-commits)
-		}
+	commits := metricCheckpointWrites.Value()
+	cfg.Resume = true
+	cfg.Workers = 8
+	resumed, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rules.DiffImplications(resumed, want); d != "" {
+		t.Fatalf("resumed mine diverged:\n%s", d)
+	}
+	if got := metricCheckpointWrites.Value(); got != commits {
+		t.Fatalf("resume re-partitioned: %d new manifest commits", got-commits)
 	}
 }
 
@@ -165,5 +165,125 @@ func TestCheckpointSegmentDamageForcesRepartition(t *testing.T) {
 	}
 	if metricCheckpointWrites.Value() != commits+1 {
 		t.Fatal("damaged segment did not force a re-partition")
+	}
+}
+
+// TestCheckpointRepartitionSweepsSegments: re-partitioning a reused
+// checkpoint directory at another worker count writes segments under
+// other names (bucket-NN-wKK.rows vs bucket-NN.rows). The old set must
+// go, leaving exactly the manifest and the segments it names.
+func TestCheckpointRepartitionSweepsSegments(t *testing.T) {
+	m1 := streamRandomMatrix(27, 300, 24)
+	m2 := streamRandomMatrix(28, 280, 24)
+	path := filepath.Join(t.TempDir(), "m"+matrix.ExtBinary)
+	if err := matrix.Save(path, m1); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := t.TempDir()
+	if _, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, Config{CheckpointDir: ckpt, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if old, _ := filepath.Glob(filepath.Join(ckpt, "bucket-*-w*.rows")); len(old) == 0 {
+		t.Fatal("a two-worker partition wrote no per-worker segments")
+	}
+
+	if err := matrix.Save(path, m2); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := core.DMCImp(m2, core.FromPercent(75), core.Options{})
+	got, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, Config{CheckpointDir: ckpt, Resume: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rules.DiffImplications(got, want); d != "" {
+		t.Fatalf("re-partitioned mine diverged:\n%s", d)
+	}
+
+	data, err := os.ReadFile(filepath.Join(ckpt, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf manifest
+	if err := json.Unmarshal(data, &mf); err != nil {
+		t.Fatal(err)
+	}
+	keep := map[string]bool{manifestName: true}
+	for _, seg := range mf.Segments {
+		keep[seg.File] = true
+	}
+	ents, err := os.ReadDir(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !keep[e.Name()] {
+			t.Errorf("re-partition left %s behind", e.Name())
+		}
+		delete(keep, e.Name())
+	}
+	if len(keep) != 0 {
+		t.Errorf("checkpoint is missing %v", keep)
+	}
+}
+
+// TestCheckpointV1ManifestRepartitions: a version-1 manifest (written
+// before unframed spills were dropped; its segments each carried a
+// "legacy" flag) is not trusted. Resume partitions afresh: one new
+// manifest commit, no OnResume, exact rules.
+func TestCheckpointV1ManifestRepartitions(t *testing.T) {
+	m := streamRandomMatrix(29, 300, 24)
+	path := writeTemp(t, m, matrix.ExtBinary)
+	ckpt := t.TempDir()
+	p, err := PartitionWith(path, Config{CheckpointDir: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+
+	mpath := filepath.Join(ckpt, manifestName)
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// UseNumber keeps the nanosecond input mtime exact; as a float64 it
+	// would no longer match the input, and the test would pass without
+	// reaching the version check.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var mf map[string]any
+	if err := dec.Decode(&mf); err != nil {
+		t.Fatal(err)
+	}
+	mf["version"] = 1
+	for _, seg := range mf["segments"].([]any) {
+		seg.(map[string]any)["legacy"] = false
+	}
+	if data, err = json.MarshalIndent(mf, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want, _ := core.DMCImp(m, core.FromPercent(75), core.Options{})
+	commits := metricCheckpointWrites.Value()
+	resumed := false
+	cfg := Config{CheckpointDir: ckpt, Resume: true, OnResume: func() { resumed = true }}
+	got, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rules.DiffImplications(got, want); d != "" {
+		t.Fatalf("version-1 checkpoint leaked into the result:\n%s", d)
+	}
+	if resumed {
+		t.Error("OnResume fired for a version-1 manifest")
+	}
+	if n := metricCheckpointWrites.Value() - commits; n != 1 {
+		t.Fatalf("version-1 manifest: %d manifest commits, want 1", n)
 	}
 }

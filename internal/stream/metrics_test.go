@@ -21,7 +21,7 @@ func TestSpillAndPassCounters(t *testing.T) {
 	buckets0 := metricSpillBuckets.Value()
 	passes0 := metricPasses.Value()
 
-	rs, _, err := MineImplications(path, core.FromPercent(80), core.Options{})
+	rs, _, err := MineImplicationsCfg(path, core.FromPercent(80), core.Options{}, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package stream
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"dmc/internal/core"
 	"dmc/internal/matrix"
@@ -12,11 +12,11 @@ import (
 )
 
 // TestStreamParityAcrossWorkers is the parity property for the parallel
-// disk path: mining straight from a file — any worker fan-out, any
-// partition sharding, framed or legacy spill codec, with and without a
-// forced DMC-bitmap switch — must produce exactly the serial in-memory
-// miner's rule set. Run under -race in CI, this also exercises the
-// broadcast reader's concurrency.
+// disk path: mining straight from a file — any worker fan-out (which
+// also shards the partitioning pass), any frame size, with and without
+// a forced DMC-bitmap switch — must produce exactly the serial
+// in-memory miner's rule set. Run under -race in CI, this also
+// exercises the broadcast reader's concurrency.
 func TestStreamParityAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomMatrix(rng, 300, 36)
@@ -32,11 +32,16 @@ func TestStreamParityAcrossWorkers(t *testing.T) {
 		// early-abandoned broadcast views it causes.
 		{"bitmap", core.Options{BitmapMaxRows: m.NumRows() + 1, BitmapMinBytes: -1}},
 	}
-	configs := []Config{
-		{Workers: 1},
-		{Workers: 2, PartitionWorkers: 3},
-		{Workers: 8, Prefetch: 1, BlockRows: 16},
-		{Workers: 2, LegacyCodec: true},
+	// The cell names keep the partition-worker and codec fields of
+	// their earlier form (pw0: partitioning follows Workers; the framed
+	// codec is the only one), so each cell's name is stable.
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"w1-pw0-legacyfalse", Config{Workers: 1}},
+		{"w2-pw0-legacyfalse", Config{Workers: 2}},
+		{"w8-pw0-legacyfalse", Config{Workers: 8, frameRows: 16}},
 	}
 
 	for _, ext := range []string{matrix.ExtBinary, matrix.ExtText} {
@@ -44,17 +49,16 @@ func TestStreamParityAcrossWorkers(t *testing.T) {
 		for _, v := range variants {
 			wantImp, _ := core.DMCImp(m, th, v.opts)
 			wantSim, _ := core.DMCSim(m, th, v.opts)
-			for _, cfg := range configs {
-				name := fmt.Sprintf("%s/%s/w%d-pw%d-legacy%v", ext, v.name, cfg.Workers, cfg.PartitionWorkers, cfg.LegacyCodec)
-				t.Run(name, func(t *testing.T) {
-					gotImp, _, err := MineImplicationsCfg(path, th, v.opts, cfg)
+			for _, c := range configs {
+				t.Run(ext+"/"+v.name+"/"+c.name, func(t *testing.T) {
+					gotImp, _, err := MineImplicationsCfg(path, th, v.opts, c.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if d := rules.DiffImplications(gotImp, wantImp); d != "" {
 						t.Fatalf("imp mismatch:\n%s", d)
 					}
-					gotSim, _, err := MineSimilaritiesCfg(path, th, v.opts, cfg)
+					gotSim, _, err := MineSimilaritiesCfg(path, th, v.opts, c.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -74,7 +78,7 @@ func TestConcurrentPassViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := randomMatrix(rng, 200, 24)
 	path := writeTemp(t, m, matrix.ExtBinary)
-	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), Prefetch: 2, BlockRows: 8})
+	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), frameRows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +105,17 @@ func TestConcurrentPassViews(t *testing.T) {
 		}(v)
 	}
 	wg.Wait()
+	// The views can read the final row before the pass reader has
+	// closed its last segment and unregistered itself, so wait for the
+	// readers to drain before checking what they left behind.
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		live := len(p.readers)
+		p.mu.Unlock()
+		if live == 0 {
+			break
+		}
+	}
 	for v := 0; v < n; v++ {
 		if len(got[v]) != len(want) {
 			t.Fatalf("view %d saw %d rows, want %d", v, len(got[v]), len(want))
@@ -130,7 +145,7 @@ func TestAbandonedPassReleasesFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randomMatrix(rng, 150, 24)
 	path := writeTemp(t, m, matrix.ExtBinary)
-	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), BlockRows: 4, Prefetch: 1})
+	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), frameRows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +197,7 @@ func TestStreamCounters(t *testing.T) {
 
 	frames0 := metricFrames.Value()
 	depth0 := metricBroadcastDepth.Value()
-	if _, _, err := MineImplications(path, core.FromPercent(80), core.Options{}); err != nil {
+	if _, _, err := MineImplicationsCfg(path, core.FromPercent(80), core.Options{}, Config{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricFrames.Value() - frames0; got <= 0 {

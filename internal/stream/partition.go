@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dmc/internal/core"
 	"dmc/internal/fault"
 	"dmc/internal/matrix"
 )
@@ -38,34 +39,26 @@ type Partitioned struct {
 }
 
 // bucket is one spill segment: a run of rows of a single density
-// bucket. legacy records the on-disk codec so replay never has to
-// sniff its own files.
+// bucket.
 type bucket struct {
-	bkt    int
-	path   string
-	rows   int
-	legacy bool
+	bkt  int
+	path string
+	rows int
 }
 
-func (c Config) blockRowsVal() int {
-	if c.BlockRows > 0 {
-		return c.BlockRows
+func (c Config) blockRows() int {
+	if c.frameRows > 0 {
+		return c.frameRows
 	}
 	return matrix.DefaultBlockRows
 }
 
-// Partition streams the matrix file at path once, producing the counts
-// and bucket spill files under a fresh directory inside tmpDir (""
-// means the system temp directory). This compatibility form partitions
-// on one goroutine; PartitionWith shards the pass.
-func Partition(path, tmpDir string) (*Partitioned, error) {
-	return PartitionWith(path, Config{TmpDir: tmpDir, Workers: 1})
-}
-
-// PartitionWith is Partition under Config control: cfg.PartitionWorkers
-// (or Workers) goroutines split decode + bucket classification + spill
-// encoding, each writing its own per-bucket segment files, with the
-// per-column ones counts merged at the end.
+// PartitionWith streams the matrix file at path once, producing the
+// counts and the bucket spill files under a fresh directory inside
+// cfg.TmpDir (or in cfg.CheckpointDir). cfg.Workers goroutines split
+// decode + bucket classification + spill encoding, each writing its own
+// per-bucket segment files, with the per-column ones counts merged at
+// the end.
 func PartitionWith(path string, cfg Config) (*Partitioned, error) {
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
@@ -125,7 +118,7 @@ func PartitionWith(path string, cfg Config) (*Partitioned, error) {
 	nb := matrix.NumBuckets(rr.NumCols())
 	var segs []bucket
 	var spilledBytes int64
-	if w := cfg.partitionWorkers(); w <= 1 {
+	if w := core.ResolveWorkers(cfg.Workers); w <= 1 {
 		segs, spilledBytes, err = partitionSerial(rr, dir, nb, cfg, p.ones)
 	} else {
 		segs, spilledBytes, err = partitionParallel(rr, dir, nb, w, cfg, p.ones)
@@ -249,7 +242,7 @@ func partitionParallel(rr matrix.RowReader, dir string, nb, w int, cfg Config, o
 		}()
 	}
 
-	chunkRows := cfg.blockRowsVal()
+	chunkRows := cfg.blockRows()
 	var feedErr error
 	if trr, ok := rr.(*matrix.TextRowReader); ok {
 		for feedErr == nil {
@@ -363,8 +356,7 @@ type spillSet struct {
 	sync   bool // fsync before rename (checkpoint durability)
 	files  []fault.File
 	finals []string // committed path per open file
-	bws    []*bufio.Writer
-	blks   []*matrix.BlockWriter // nil per entry in legacy mode
+	blks   []*matrix.BlockWriter
 	rows   []int
 }
 
@@ -376,7 +368,6 @@ func newSpillSet(dir, suffix string, nb int, cfg Config) *spillSet {
 		sync:   cfg.CheckpointDir != "",
 		files:  make([]fault.File, nb),
 		finals: make([]string, nb),
-		bws:    make([]*bufio.Writer, nb),
 		blks:   make([]*matrix.BlockWriter, nb),
 		rows:   make([]int, nb),
 	}
@@ -391,23 +382,15 @@ func (s *spillSet) write(b int, row []matrix.Col) error {
 		}
 		s.files[b] = f
 		s.finals[b] = final
-		s.bws[b] = bufio.NewWriterSize(fault.NewRetryWriter(s.cfg.Ctx, f, s.cfg.Retry), 1<<16)
-		if !s.cfg.LegacyCodec {
-			bw, err := matrix.NewBlockWriter(s.bws[b], s.cfg.BlockRows, s.cfg.BlockBytes)
-			if err != nil {
-				return &SpillError{Bucket: b, Path: final, Err: err}
-			}
-			s.blks[b] = bw
+		w := bufio.NewWriterSize(fault.NewRetryWriter(s.cfg.Ctx, f, s.cfg.Retry), 1<<16)
+		bw, err := matrix.NewBlockWriter(w, s.cfg.blockRows(), matrix.DefaultBlockBytes)
+		if err != nil {
+			return &SpillError{Bucket: b, Path: final, Err: err}
 		}
+		s.blks[b] = bw
 	}
 	s.rows[b]++
-	var err error
-	if s.blks[b] != nil {
-		err = s.blks[b].WriteRow(row)
-	} else {
-		err = matrix.WriteRawRow(s.bws[b], row)
-	}
-	if err != nil {
+	if err := s.blks[b].WriteRow(row); err != nil {
 		return &SpillError{Bucket: b, Path: s.finals[b], Err: err}
 	}
 	return nil
@@ -424,12 +407,7 @@ func (s *spillSet) finish() ([]bucket, int64, error) {
 			continue
 		}
 		final := s.finals[b]
-		var err error
-		if s.blks[b] != nil {
-			err = s.blks[b].Flush() // flushes the bufio.Writer too
-		} else {
-			err = s.bws[b].Flush()
-		}
+		err := s.blks[b].Flush() // flushes the bufio.Writer too
 		if err == nil && s.sync {
 			err = f.Sync()
 		}
@@ -449,7 +427,7 @@ func (s *spillSet) finish() ([]bucket, int64, error) {
 			s.closeFrom(b + 1)
 			return nil, 0, &SpillError{Bucket: b, Path: final, Err: err}
 		}
-		segs = append(segs, bucket{bkt: b, path: final, rows: s.rows[b], legacy: s.cfg.LegacyCodec})
+		segs = append(segs, bucket{bkt: b, path: final, rows: s.rows[b]})
 	}
 	return segs, bytes, nil
 }

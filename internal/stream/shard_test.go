@@ -27,7 +27,7 @@ func TestStreamShardParity(t *testing.T) {
 	wantSim, _ := core.DMCSim(m, th, core.Options{})
 
 	cuts := []core.ShardRange{{Lo: 0, Hi: 7}, {Lo: 7, Hi: 8}, {Lo: 8, Hi: 21}, {Lo: 21, Hi: 30}}
-	for _, cfg := range []Config{{Workers: 1}, {Workers: 4, BlockRows: 32}} {
+	for _, cfg := range []Config{{Workers: 1}, {Workers: 4, frameRows: 32}} {
 		t.Run(fmt.Sprintf("w%d", cfg.Workers), func(t *testing.T) {
 			var gotImp []rules.Implication
 			var gotSim []rules.Similarity

@@ -2,21 +2,24 @@
 // true two-pass fashion, with memory bounded by the counter array
 // rather than the data size.
 //
-// The first pass (Partition) streams the file once: it counts ones(c)
-// per column and splits the rows into the density buckets of §4.1
-// ([2^i, 2^{i+1}) by row weight), writing each bucket to its own
-// temporary spill file in the block-framed raw-row codec. Every later
-// pass replays the buckets sparsest-first — which is exactly how the
-// paper realizes row re-ordering without sorting. The DMC pipelines
-// then run unchanged on top via core.Source.
+// The first pass (PartitionWith) streams the file once: it counts
+// ones(c) per column and splits the rows into the density buckets of
+// §4.1 ([2^i, 2^{i+1}) by row weight), writing each bucket to its own
+// temporary spill file in the CRC-checked block codec (DMCF version 2,
+// the only spill format). Every later pass replays the buckets
+// sparsest-first — which is exactly how the paper realizes row
+// re-ordering without sorting. The DMC pipelines then run unchanged on
+// top via core.Source.
 //
 // The replay path is concurrent end to end: a background reader
 // goroutine decodes frame k+1 while the miner consumes frame k
 // (double-buffered prefetch), and the same reader broadcasts each pass
 // once to any number of §7 shard workers through bounded ring channels
 // (core.ConcurrentSource), so parallel disk-backed mining reads each
-// pass exactly once. Partitioning itself can shard decode + bucket
-// classification across goroutines. All of it is tuned through Config.
+// pass exactly once. Partitioning itself shards decode + bucket
+// classification across the same number of goroutines. Config.Workers
+// sets that fan-out; frame size, prefetch depth and read buffers are
+// fixed.
 package stream
 
 import (
@@ -65,40 +68,17 @@ var (
 // mine.
 const SpillDirPrefix = "dmc-stream-"
 
-// Config tunes the streaming substrate. The zero value is a sensible
-// default everywhere: auto worker counts, block-framed spill codec,
-// double-buffered prefetch.
+// Config configures the streaming substrate. The zero value is a
+// sensible default everywhere: one worker per CPU, spills under the
+// system temp directory.
 type Config struct {
 	// TmpDir is where spill directories are created ("" = system temp).
 	TmpDir string
 
-	// Workers is the §7 shard fan-out for the mining passes: 1 runs
-	// the serial pipeline, ≤ 0 means one worker per CPU.
+	// Workers is the §7 shard fan-out for the mining passes and the
+	// number of goroutines that split the partitioning pass: 1 runs
+	// both serially, ≤ 0 means one worker per CPU.
 	Workers int
-
-	// PartitionWorkers shards the first pass (decode + bucket
-	// classification + spill encode); ≤ 0 follows Workers.
-	PartitionWorkers int
-
-	// BlockRows / BlockBytes bound a spill frame (whichever trips
-	// first); ≤ 0 selects matrix.DefaultBlockRows / DefaultBlockBytes.
-	BlockRows  int
-	BlockBytes int
-
-	// Prefetch is the ring capacity per consumer, in decoded frames:
-	// how far the background reader may run ahead. ≤ 0 means 2 —
-	// classic double buffering (decode frame k+1 while frame k is
-	// consumed).
-	Prefetch int
-
-	// ReadBufBytes sizes the buffered reader over each spill file
-	// (≤ 0 = 256KB).
-	ReadBufBytes int
-
-	// LegacyCodec spills bare raw-row records instead of block frames
-	// — the pre-block on-disk format, kept as a migration/ablation
-	// knob. Replay auto-detects per bucket, so readers handle both.
-	LegacyCodec bool
 
 	// Ctx, when non-nil, cancels the streaming substrate: the partition
 	// feeder and every replay pass observe it and tear down promptly
@@ -136,28 +116,20 @@ type Config struct {
 	// up a valid checkpoint instead of partitioning afresh — the signal
 	// the job subsystem uses to count and journal resumed sessions.
 	OnResume func()
+
+	// frameRows caps the rows of a spill frame and of a partition
+	// chunk (≤ 0 = matrix.DefaultBlockRows). Tests lower it so that
+	// matrices of a few hundred rows still cross frame boundaries.
+	frameRows int
 }
 
-func (c Config) prefetch() int {
-	if c.Prefetch > 0 {
-		return c.Prefetch
-	}
-	return 2
-}
-
-func (c Config) readBufBytes() int {
-	if c.ReadBufBytes > 0 {
-		return c.ReadBufBytes
-	}
-	return 1 << 18
-}
-
-func (c Config) partitionWorkers() int {
-	if c.PartitionWorkers > 0 {
-		return c.PartitionWorkers
-	}
-	return core.ResolveWorkers(c.Workers)
-}
+// Fixed replay tuning: each consumer's ring holds two decoded frames
+// (the reader decodes frame k+1 while frame k is consumed), and each
+// spill segment is read through a 256KB buffer.
+const (
+	prefetchFrames = 2
+	readBufBytes   = 256 << 10
+)
 
 func (c Config) fs() fault.FS {
 	if c.FS != nil {
@@ -261,20 +233,12 @@ func (p *Partitioned) Close() error {
 	return os.RemoveAll(p.dir)
 }
 
-// MineImplications mines implication rules straight from a matrix file:
-// one partitioning pass, then the DMC-imp pipeline streaming the
+// MineImplicationsCfg mines implication rules straight from a matrix
+// file: one partitioning pass, then the DMC-imp pipeline streaming the
 // buckets from disk (one extra pass per pipeline phase). Memory is
-// bounded by the counter array and the per-column count slices. This
-// compatibility form runs everything on one worker; use
-// MineImplicationsCfg for the parallel disk path.
-func MineImplications(path string, minconf core.Threshold, opts core.Options) ([]rules.Implication, core.Stats, error) {
-	return MineImplicationsCfg(path, minconf, opts, Config{Workers: 1})
-}
-
-// MineImplicationsCfg is MineImplications with the streaming substrate
-// under caller control: worker fan-out (the pass is read once and
-// broadcast to all shards), spill codec framing, prefetch depth,
-// cancellation, fault injection, and checkpoint/resume.
+// bounded by the counter array and the per-column count slices. cfg
+// sets the worker fan-out (each pass is read once and broadcast to all
+// shards), cancellation, fault injection, and checkpoint/resume.
 func MineImplicationsCfg(path string, minconf core.Threshold, opts core.Options, cfg Config) ([]rules.Implication, core.Stats, error) {
 	if opts.Ctx == nil {
 		opts.Ctx = cfg.Ctx
@@ -295,11 +259,6 @@ func noteCancelled(err error) error {
 		metricMinesCancelled.Inc()
 	}
 	return err
-}
-
-// MineSimilarities is MineImplications for similarity rules.
-func MineSimilarities(path string, minsim core.Threshold, opts core.Options) ([]rules.Similarity, core.Stats, error) {
-	return MineSimilaritiesCfg(path, minsim, opts, Config{Workers: 1})
 }
 
 // MineSimilaritiesCfg is MineImplicationsCfg for similarity rules.

@@ -45,7 +45,7 @@ func TestPartitionCountsAndOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomMatrix(rng, 120, 24)
 	path := writeTemp(t, m, matrix.ExtBinary)
-	p, err := Partition(path, t.TempDir())
+	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		for _, pct := range []int{100, 85, 70} {
 			th := core.FromPercent(pct)
 			wantImp, _ := core.DMCImp(m, th, core.Options{})
-			gotImp, _, err := MineImplications(path, th, core.Options{})
+			gotImp, _, err := MineImplicationsCfg(path, th, core.Options{}, Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 				t.Fatalf("%s %d%% imp:\n%s", ext, pct, d)
 			}
 			wantSim, _ := core.DMCSim(m, th, core.Options{})
-			gotSim, _, err := MineSimilarities(path, th, core.Options{})
+			gotSim, _, err := MineSimilaritiesCfg(path, th, core.Options{}, Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestStreamWithBitmapSwitch(t *testing.T) {
 	th := core.FromPercent(80)
 	opts := core.Options{BitmapMaxRows: 20, BitmapMinBytes: -1}
 	want, _ := core.DMCImp(m, th, opts)
-	got, st, err := MineImplications(path, th, opts)
+	got, st, err := MineImplicationsCfg(path, th, opts, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPartitionReuseAcrossThresholds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := randomMatrix(rng, 80, 16)
 	path := writeTemp(t, m, matrix.ExtBinary)
-	p, err := Partition(path, t.TempDir())
+	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPartitionCleansUp(t *testing.T) {
 	m := randomMatrix(rng, 40, 8)
 	path := writeTemp(t, m, matrix.ExtBinary)
 	tmp := t.TempDir()
-	p, err := Partition(path, tmp)
+	p, err := PartitionWith(path, Config{TmpDir: tmp, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPartitionCleansUp(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(filepath.Join(t.TempDir(), "missing.dmb"), ""); err == nil {
+	if _, err := PartitionWith(filepath.Join(t.TempDir(), "missing.dmb"), Config{Workers: 1}); err == nil {
 		t.Error("missing file accepted")
 	}
 	// A corrupt file must fail the partitioning pass cleanly.
@@ -197,11 +197,11 @@ func TestPartitionErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("DMCBgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Partition(bad, ""); err == nil {
+	if _, err := PartitionWith(bad, Config{Workers: 1}); err == nil {
 		t.Error("corrupt file accepted")
 	}
-	if _, _, err := MineImplications(bad, core.FromPercent(80), core.Options{}); err == nil {
-		t.Error("MineImplications on corrupt file succeeded")
+	if _, _, err := MineImplicationsCfg(bad, core.FromPercent(80), core.Options{}, Config{Workers: 1}); err == nil {
+		t.Error("MineImplicationsCfg on corrupt file succeeded")
 	}
 }
 
@@ -209,7 +209,7 @@ func TestOutOfOrderReadPanicsAsPassError(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randomMatrix(rng, 20, 8)
 	path := writeTemp(t, m, matrix.ExtBinary)
-	p, err := Partition(path, t.TempDir())
+	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestEmptyAndAllEmptyRows(t *testing.T) {
 		"empty rows": matrix.FromRows(3, [][]matrix.Col{{}, {}, {1}}),
 	} {
 		path := writeTemp(t, m, matrix.ExtBinary)
-		got, _, err := MineImplications(path, core.FromPercent(80), core.Options{})
+		got, _, err := MineImplicationsCfg(path, core.FromPercent(80), core.Options{}, Config{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
