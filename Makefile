@@ -118,7 +118,8 @@ chaos-smoke:
 
 # A short fuzzing pass over the codecs and the popcount kernels:
 # spill-codec corruption must never panic the miners, the binary
-# encoder must write the reference encoder's bytes, an incremental
+# encoder must write the reference encoder's bytes, splicing rows onto
+# an encoded prefix must write the whole encode's bytes, an incremental
 # snapshot either fails to decode or re-encodes to its exact bytes, and
 # the word kernels must agree with the naive reference loops on
 # arbitrary bit patterns. Go allows one fuzz target per invocation.
@@ -126,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run=NoTests -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzReadBinary -fuzztime=5s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzEncodeBinary -fuzztime=5s ./internal/matrix
+	$(GO) test -run=NoTests -fuzz=FuzzExtendBinary -fuzztime=5s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzDecodeIncremental -fuzztime=10s ./internal/core
 	$(GO) test -run=NoTests -fuzz=FuzzCountKernels -fuzztime=10s ./internal/bitset
 

@@ -144,15 +144,47 @@ func WriteBinary(w io.Writer, m *Matrix) error {
 
 // EncodeBinary returns m in the binary format as a byte slice — the
 // content-addressed blob form used by the dataset store, where the
-// bytes are hashed before they are committed. The slice is allocated
-// once, at a size no encoding of m can exceed.
+// bytes are hashed before they are committed.
 func EncodeBinary(m *Matrix) ([]byte, error) {
-	size := len(binaryMagic) + 3*binary.MaxVarintLen64 + (m.NumRows()+m.NumOnes())*varintWidth(m)
-	buf := appendBinaryHeader(make([]byte, 0, size), m)
-	for _, row := range m.rows {
+	return encodeBinary(m, nil, m.rows), nil
+}
+
+// ExtendBinary returns m in the binary format, given old, the binary
+// encoding of m's first rows: m's header, then old's row records byte
+// for byte, then the records of m's remaining rows. A row record does
+// not depend on the header, so when old is EncodeBinary of m's first
+// rows the result is EncodeBinary(m), and the cost follows the new rows
+// plus a copy. Only old's header is parsed; its rows are the caller's
+// promise (the dataset store checks old against its content address
+// first). A malformed header, or one declaring more rows or columns
+// than m has, is an error wrapping ErrFormat.
+func ExtendBinary(old []byte, m *Matrix) ([]byte, error) {
+	r := bytes.NewReader(old)
+	rows, cols, err := readBinaryHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if rows > uint64(m.NumRows()) || cols > uint64(m.NumCols()) {
+		return nil, fmt.Errorf("%w: extending a %dx%d encoding to a %dx%d matrix", ErrFormat, rows, cols, m.NumRows(), m.NumCols())
+	}
+	return encodeBinary(m, old[len(old)-r.Len():], m.rows[rows:]), nil
+}
+
+// encodeBinary returns m's header, then body (the row records of m's
+// first rows), then the records of tail, m's remaining rows. The slice
+// is allocated once, at a size no such encoding can exceed: every
+// varint of a row record is at most NumCols.
+func encodeBinary(m *Matrix, body []byte, tail [][]Col) []byte {
+	ones := 0
+	for _, row := range tail {
+		ones += len(row)
+	}
+	size := len(binaryMagic) + 3*binary.MaxVarintLen64 + len(body) + (len(tail)+ones)*varintWidth(m)
+	buf := append(appendBinaryHeader(make([]byte, 0, size), m), body...)
+	for _, row := range tail {
 		buf = AppendRawRow(buf, row)
 	}
-	return buf, nil
+	return buf
 }
 
 // appendBinaryHeader appends the magic, the version and m's dimensions.
@@ -179,15 +211,18 @@ func EncodeLabels(labels []string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ReadBinary parses the binary format.
-func ReadBinary(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+// readBinaryHeader reads the binary format's magic, version and
+// dimensions, leaving r at the first row record.
+func readBinaryHeader(r interface {
+	io.Reader
+	io.ByteReader
+}) (rows, cols uint64, err error) {
 	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != binaryMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	readUvarint := func() (uint64, error) {
-		v, err := binary.ReadUvarint(br)
+		v, err := binary.ReadUvarint(r)
 		if err != nil {
 			return 0, fmt.Errorf("%w: truncated varint: %v", ErrFormat, err)
 		}
@@ -195,21 +230,29 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 	}
 	version, err := readUvarint()
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	if version != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported binary version %d", ErrFormat, version)
+		return 0, 0, fmt.Errorf("%w: unsupported binary version %d", ErrFormat, version)
 	}
-	rows, err := readUvarint()
-	if err != nil {
-		return nil, err
+	if rows, err = readUvarint(); err != nil {
+		return 0, 0, err
 	}
-	cols, err := readUvarint()
-	if err != nil {
-		return nil, err
+	if cols, err = readUvarint(); err != nil {
+		return 0, 0, err
 	}
 	if cols > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible column count %d", ErrFormat, cols)
+		return 0, 0, fmt.Errorf("%w: implausible column count %d", ErrFormat, cols)
+	}
+	return rows, cols, nil
+}
+
+// ReadBinary parses the binary format.
+func ReadBinary(r io.Reader) (*Matrix, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	rows, cols, err := readBinaryHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	m := New(int(cols))
 	m.rows = make([][]Col, 0, capHint(int(rows)))

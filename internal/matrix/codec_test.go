@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -214,6 +215,94 @@ func TestEncodersAgree(t *testing.T) {
 		huge = append(huge, c)
 	}
 	checkEncoders(t, FromRows(8<<20, [][]Col{{1}, huge, {}, huge[:10]}))
+}
+
+// prefixOf returns m's first r rows as a matrix of cols columns, the
+// narrowest cols that holds them when cols is below that.
+func prefixOf(m *Matrix, r, cols int) *Matrix {
+	for _, row := range m.rows[:r] {
+		if len(row) > 0 {
+			cols = max(cols, int(row[len(row)-1])+1)
+		}
+	}
+	return FromRows(cols, m.rows[:r])
+}
+
+// checkExtend asserts that ExtendBinary over the encoding of m's first
+// r rows, at width cols, writes EncodeBinary(m).
+func checkExtend(t *testing.T, m *Matrix, r, cols int) {
+	t.Helper()
+	old, err := EncodeBinary(prefixOf(m, r, cols))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ExtendBinary(old, m)
+	if err != nil {
+		t.Fatalf("ExtendBinary at r=%d cols=%d: %v", r, cols, err)
+	}
+	if want := referenceEncode(m); !bytes.Equal(got, want) {
+		t.Fatalf("ExtendBinary at r=%d cols=%d differs from EncodeBinary (%d vs %d bytes)", r, cols, len(got), len(want))
+	}
+}
+
+// TestExtendBinaryMatchesEncode: splicing new rows onto the encoding of
+// a prefix writes the bytes of a whole encode, at random split points
+// and where the header's varints grow a byte: rows across 127→128 and
+// 16383→16384, columns across 127→128. Empty rows, and splits at 0 and
+// at every row, are covered.
+func TestExtendBinaryMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		m := randomMatrix(rng, rng.Intn(60), 1+rng.Intn(300), rng.Float64()*0.3)
+		n := m.NumRows()
+		for _, r := range []int{0, n, rng.Intn(n + 1)} {
+			checkExtend(t, m, r, rng.Intn(m.NumCols()+1))
+		}
+	}
+	m := randomMatrix(rng, 200, 140, 0.02) // ~6% of rows empty
+	for _, r := range []int{0, 1, 126, 127, 128, 129, 200} {
+		for _, cols := range []int{0, 127, 128, 140} {
+			checkExtend(t, m, r, cols)
+		}
+	}
+	wide := randomWide(rng, 16500, 1<<15, 3)
+	for _, r := range []int{16382, 16383, 16384, 16500} {
+		checkExtend(t, wide, r, 127)
+		checkExtend(t, wide, r, 1<<14)
+	}
+}
+
+// TestExtendBinaryErrors: a header ExtendBinary cannot build on is an
+// ErrFormat, never a panic.
+func TestExtendBinaryErrors(t *testing.T) {
+	m := fig1() // 4 rows, 3 columns
+	valid, err := EncodeBinary(prefixOf(m, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := EncodeBinary(FromRows(3, [][]Col{{0}, {1}, {2}, {0, 1}, {2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider, err := EncodeBinary(FromRows(4, [][]Col{{3}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"bad magic":   append([]byte("NOPE"), valid[4:]...),
+		"bad version": append([]byte("DMCB\x02"), valid[5:]...),
+		"more rows":   more,
+		"more cols":   wider,
+	}
+	header := len(appendBinaryHeader(nil, prefixOf(m, 2, 3)))
+	for n := 0; n < header; n++ {
+		cases[fmt.Sprintf("header cut at %d", n)] = valid[:n]
+	}
+	for name, old := range cases {
+		if _, err := ExtendBinary(old, m); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: err = %v, want ErrFormat", name, err)
+		}
+	}
 }
 
 // randomWide draws n rows of up to k ones each over cols columns.

@@ -48,44 +48,53 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzEncodeBinary builds a valid matrix from arbitrary bytes — read
-// as uvarints, where 0 ends a row and v > 0 steps v-1 columns past the
+// fuzzMatrix builds a valid matrix from arbitrary bytes — read as
+// uvarints, where 0 ends a row and v > 0 steps v-1 columns past the
 // previous one (the row's first column is v-1) — widened by extra
-// columns. EncodeBinary must write the reference encoder's bytes, and
-// ReadBinary must give the matrix back.
+// columns.
+func fuzzMatrix(in []byte, extra uint16) *Matrix {
+	var rows [][]Col
+	var row []Col
+	width := 0
+	for len(in) > 0 {
+		v, n := binary.Uvarint(in)
+		if n <= 0 {
+			break
+		}
+		in = in[n:]
+		if v == 0 {
+			rows, row = append(rows, row), nil
+			continue
+		}
+		if v >= 1<<31 { // a step past any column id, and one that could wrap next
+			break
+		}
+		next := v - 1
+		if len(row) > 0 {
+			next = uint64(row[len(row)-1]) + v
+		}
+		if next >= 1<<31 {
+			break
+		}
+		row = append(row, Col(next))
+		width = max(width, int(next)+1)
+	}
+	if row != nil {
+		rows = append(rows, row)
+	}
+	return FromRows(width+int(extra), rows)
+}
+
+// FuzzEncodeBinary: for a fuzzMatrix, EncodeBinary must write the
+// reference encoder's bytes, and ReadBinary must give the matrix back.
 func FuzzEncodeBinary(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0, 0}, uint16(3))
 	f.Add([]byte{1, 1, 0, 0x80, 0x01, 0x80, 0x80, 0x01, 0}, uint16(0))
 	f.Add([]byte{0x80, 0x80, 0x01, 0x7f, 0, 2, 1, 1}, uint16(500))
+	f.Add([]byte("0\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), uint16(0)) // a step that wraps
 	f.Fuzz(func(t *testing.T, in []byte, extra uint16) {
-		var rows [][]Col
-		var row []Col
-		width := 0
-		for len(in) > 0 {
-			v, n := binary.Uvarint(in)
-			if n <= 0 {
-				break
-			}
-			in = in[n:]
-			if v == 0 {
-				rows, row = append(rows, row), nil
-				continue
-			}
-			next := v - 1
-			if len(row) > 0 {
-				next = uint64(row[len(row)-1]) + v
-			}
-			if next >= 1<<31 {
-				break
-			}
-			row = append(row, Col(next))
-			width = max(width, int(next)+1)
-		}
-		if row != nil {
-			rows = append(rows, row)
-		}
-		m := FromRows(width+int(extra), rows)
+		m := fuzzMatrix(in, extra)
 		got, err := EncodeBinary(m)
 		if err != nil {
 			t.Fatal(err)
@@ -99,6 +108,44 @@ func FuzzEncodeBinary(f *testing.F) {
 		}
 		if !matricesEqual(m, back) {
 			t.Fatal("binary round trip changed the matrix")
+		}
+	})
+}
+
+// FuzzExtendBinary: over arbitrary old bytes ExtendBinary never panics,
+// and what it accepts starts with m's header, then old's body. Over the encoding of a fuzzMatrix's first split rows,
+// narrowed by up to narrow columns, it writes EncodeBinary of the whole.
+func FuzzExtendBinary(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(0), []byte{})
+	f.Add([]byte{1, 1, 0, 0x80, 0x01, 0x80, 0x80, 0x01, 0}, uint16(2), uint16(1), uint16(1), []byte("DMCB\x01\x01\x00"))
+	f.Add([]byte{0x80, 0x80, 0x01, 0x7f, 0, 2, 1, 1, 0, 0}, uint16(200), uint16(2), uint16(300), []byte("DMCB\x01\x00\x80\x01"))
+	f.Add([]byte{0, 0, 0, 5, 0}, uint16(0), uint16(7), uint16(0), []byte("DMCB\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	f.Fuzz(func(t *testing.T, in []byte, extra, split, narrow uint16, junk []byte) {
+		m := fuzzMatrix(in, extra)
+		want, err := EncodeBinary(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ExtendBinary(junk, m); err == nil {
+			r := bytes.NewReader(junk)
+			if _, _, err := readBinaryHeader(r); err != nil {
+				t.Fatalf("ExtendBinary accepted a header readBinaryHeader rejects: %v", err)
+			}
+			if !bytes.HasPrefix(got, append(appendBinaryHeader(nil, m), junk[len(junk)-r.Len():]...)) {
+				t.Fatal("accepted output does not start with m's header, then old's body")
+			}
+		}
+		r := int(split) % (m.NumRows() + 1)
+		old, err := EncodeBinary(prefixOf(m, r, m.NumCols()-int(narrow)%(m.NumCols()+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExtendBinary(old, m)
+		if err != nil {
+			t.Fatalf("ExtendBinary over a %d-row prefix: %v", r, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ExtendBinary over a %d-row prefix differs from EncodeBinary", r)
 		}
 	})
 }

@@ -148,7 +148,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "append body holds no transactions")
 		return
 	}
-	size := residentFootprint(grown)
+	// The base's ones are known; count only the appended rows'.
+	ones := d.info.Ones
+	for i := d.m.NumRows(); i < grown.NumRows(); i++ {
+		ones += grown.RowWeight(i)
+	}
+	size := residentFootprint(ones, grown.NumCols())
 	if shed := s.checkDatasetQuota(tenant, name, size); shed != nil {
 		s.writeShed(w, r, shed)
 		return
@@ -166,10 +171,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		inc.AddMatrixRows(grown, d.m.NumRows())
 	}
 
-	inf := info(name, grown)
+	inf := DatasetInfo{Name: name, Rows: grown.NumRows(), Cols: grown.NumCols(), Ones: ones, Labeled: grown.Labels() != nil}
 	var hash string
 	if s.st != nil {
-		e, err := s.st.Put(name, grown)
+		// d.hash addresses d.m, the prefix of grown, so the store can
+		// splice the new rows onto the blob it holds at that address.
+		e, err := s.st.Append(name, d.hash, grown)
 		if err != nil {
 			switch {
 			case errors.Is(err, syscall.ENOSPC):

@@ -407,33 +407,112 @@ func TestAppendWidthLimit(t *testing.T) {
 	}
 }
 
-// TestAppendDurable: appended rows survive a restart — the grown blob
-// was committed before the append was acknowledged.
+// TestAppendDurable: appended rows survive a restart — each grown blob
+// was committed before its append was acknowledged. After a chain of
+// appends (new columns, an empty row) the recovered dataset has the
+// resident one's content address and info, every mine returns the same
+// rules, and the ones count the append path derives without a row walk
+// — on the wire and in the store entry — is the final matrix's.
 func TestAppendDurable(t *testing.T) {
 	storeDir, cacheDir := t.TempDir(), t.TempDir()
 	st := openTestStore(t, storeDir, store.Options{})
 	c := openTestCache(t, cacheDir)
 	s := NewWith(Config{Store: st, Cache: c})
 	ts := httptest.NewServer(s.Handler())
-	doPut(t, ts.URL, "d", "a b\na b\n")
-	if resp := doAppend(t, ts.URL, "d", "a b c\nc b\n"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("append: %d", resp.StatusCode)
+	doPut(t, ts.URL, "d", basketBody)
+	for _, batch := range []string{"bread butter scone\ncream scone\n", "jam tea\n\nbread cream jam\n", "honey\nbread butter\n"} {
+		doAppendJSON(t, ts.URL, "d", batch)
 	}
+	d, _ := s.get("d")
+	var inf DatasetInfo
+	getJSON(t, ts.URL+"/v1/datasets/d", http.StatusOK, &inf)
+	if inf.Rows != 17 || inf.Ones != d.m.NumOnes() {
+		t.Fatalf("info after appends = %+v, want 17 rows and %d ones", inf, d.m.NumOnes())
+	}
+	before := mineEvery(t, ts.URL)
 	ts.Close()
 	st.Close()
 	c.Close()
 
 	st2 := openTestStore(t, storeDir, store.Options{})
+	if e, _ := st2.Get("d"); e.Hash != d.hash || e.Ones != d.m.NumOnes() {
+		t.Fatalf("reopened entry = %+v, want hash %s and %d ones", e, d.hash, d.m.NumOnes())
+	}
 	s2 := NewWith(Config{Store: st2})
 	if err := s2.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	t.Cleanup(ts2.Close)
-	var inf DatasetInfo
-	getJSON(t, ts2.URL+"/v1/datasets/d", http.StatusOK, &inf)
-	if inf.Rows != 4 {
-		t.Fatalf("recovered rows = %d, want 4", inf.Rows)
+	d2, _ := s2.get("d")
+	if d2.hash != d.hash || d2.info != inf {
+		t.Fatalf("recovered dataset %s %+v, want %s %+v", d2.hash, d2.info, d.hash, inf)
+	}
+	if after := mineEvery(t, ts2.URL); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("mines after the restart differ:\n%v\nbefore:\n%v", after, before)
+	}
+}
+
+// mineEvery mines dataset d for both families at several thresholds
+// and returns each rule list by query.
+func mineEvery(t *testing.T, base string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, q := range []string{"implications?threshold=60", "implications?threshold=85", "similarities?threshold=40", "similarities?threshold=70"} {
+		var r minedReply
+		getJSON(t, base+"/v1/datasets/d/"+q, http.StatusOK, &r)
+		if r.Total == 0 {
+			t.Fatalf("%s mined no rules; the comparison is vacuous", q)
+		}
+		out[q] = string(r.Rules)
+	}
+	return out
+}
+
+// TestAppendOverCorruptBlob: damage to the live blob between two
+// appends costs the second append its splice, not its correctness. It
+// succeeds, counts on dmc_store_blob_mismatches_total, and the dataset
+// recovered from the store equals the resident one.
+func TestAppendOverCorruptBlob(t *testing.T) {
+	storeDir := t.TempDir()
+	st := openTestStore(t, storeDir, store.Options{})
+	s := NewWith(Config{Store: st, Cache: openTestCache(t, t.TempDir())})
+	ts := httptest.NewServer(s.Handler())
+	doPut(t, ts.URL, "d", basketBody)
+	doAppendJSON(t, ts.URL, "d", "bread scone\n")
+	e, _ := st.Get("d")
+	blob, err := os.ReadFile(e.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)-1] ^= 0x01
+	if err := os.WriteFile(e.Path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mismatches := obs.Default.Counter("dmc_store_blob_mismatches_total", "").Value()
+	doAppendJSON(t, ts.URL, "d", "tea scone cream\nbread\n")
+	if d := obs.Default.Counter("dmc_store_blob_mismatches_total", "").Value() - mismatches; d != 1 {
+		t.Fatalf("dmc_store_blob_mismatches_total moved by %d, want 1", d)
+	}
+	d, _ := s.get("d")
+	resident := mineEvery(t, ts.URL)
+	ts.Close()
+	st.Close()
+
+	s2 := NewWith(Config{Store: openTestStore(t, storeDir, store.Options{})})
+	if err := s2.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts2.Close)
+	d2, _ := s2.get("d")
+	want, _ := matrix.EncodeBinary(d.m)
+	got, _ := matrix.EncodeBinary(d2.m)
+	if d2.hash != d.hash || !bytes.Equal(got, want) || d2.info != d.info {
+		t.Fatalf("recovered dataset %s %+v differs from the resident %s %+v", d2.hash, d2.info, d.hash, d.info)
+	}
+	if recovered := mineEvery(t, ts2.URL); fmt.Sprint(recovered) != fmt.Sprint(resident) {
+		t.Fatalf("recovered mines differ:\n%v\nresident:\n%v", recovered, resident)
 	}
 }
 
@@ -625,7 +704,7 @@ func TestAppendTenantRules(t *testing.T) {
 				t.Fatalf("rows of %s's d = %d, want %d", tc.wantOwner, inf.Rows, tc.wantRows)
 			}
 			d, _ := s.get("d")
-			want := residentFootprint(d.m)
+			want := residentFootprint(d.m.NumOnes(), d.m.NumCols())
 			if s.st != nil {
 				e, _ := s.st.Get("d")
 				want = e.Size

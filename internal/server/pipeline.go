@@ -224,7 +224,7 @@ func mineLocal[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *
 // Both paths count on dmc_mines_degraded_total.
 func mineMem[R, W any](s *Server, pl *pipeline[R, W], m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
 	var berr error // the budget overflow that triggered the degrade, if any
-	relMem, brownout := s.admitResident(residentFootprint(m))
+	relMem, brownout := s.admitResident(residentFootprint(m.NumOnes(), m.NumCols()))
 	if !brownout {
 		defer relMem()
 		rs, st, err := pl.resident(m, t, o, workers)

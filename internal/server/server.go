@@ -714,7 +714,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "dataset has no transactions")
 		return
 	}
-	est := residentFootprint(m)
+	est := residentFootprint(m.NumOnes(), m.NumCols())
 	if shed := s.checkDatasetQuota(tenant, name, est); shed != nil {
 		s.writeShed(w, r, shed)
 		return
@@ -880,12 +880,13 @@ func (s *Server) noteCancelled(err error) error {
 	return err
 }
 
-// residentFootprint estimates the memory a resident mine of m holds —
-// the matrix rows plus the O(cols) counter arrays — for the brownout
+// residentFootprint estimates the memory a resident mine of a matrix
+// with ones ones and cols columns holds — the matrix rows plus the
+// O(cols) counter arrays — for the brownout
 // ledger. A rough proxy is fine: the ledger shapes load, it does not
 // enforce a hard limit (core.Options.MemBudgetBytes does that).
-func residentFootprint(m *matrix.Matrix) int64 {
-	return int64(m.NumOnes())*8 + int64(m.NumCols())*16
+func residentFootprint(ones, cols int) int64 {
+	return int64(ones)*8 + int64(cols)*16
 }
 
 // scratchDir is where spill and degrade files land: the durable

@@ -95,6 +95,14 @@ func TestHelperStoreKill(t *testing.T) {
 		// Die halfway through the compaction snapshot (CATALOG.tmp).
 		fs = &killFS{match: "CATALOG.tmp", killAt: 1}
 		compactEvery = 2
+	case "mid-append-blob":
+		// An append spliced onto stable's blob dies halfway through
+		// writing the spliced data file (write 1 is its labels).
+		fs = &killFS{match: "blobs", killAt: 2}
+	case "mid-append-journal":
+		// The spliced blob is committed, then the append dies halfway
+		// through its journal record.
+		fs = &killFS{match: "CATALOG", killAt: 1}
 	default:
 		t.Fatalf("unknown kill mode %q", mode)
 	}
@@ -111,6 +119,18 @@ func TestHelperStoreKill(t *testing.T) {
 			}
 		}
 		t.Fatal("compaction never triggered the kill")
+	}
+	if strings.HasPrefix(mode, "mid-append") {
+		e, ok := s.Get("stable")
+		if !ok {
+			t.Fatal("victim sees no stable dataset")
+		}
+		grown, err := matrix.ExtendBaskets(killStableMatrix(t), strings.NewReader("bread jam\nbutter scone c01\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Append("stable", e.Hash, grown)
+		t.Fatal("victim survived the self-SIGKILL")
 	}
 	s.Put("victim", killVictimMatrix(t))
 	t.Fatal("victim survived the self-SIGKILL")
@@ -142,13 +162,14 @@ func mineBytes(t *testing.T, m *matrix.Matrix) []byte {
 	return buf.Bytes()
 }
 
-// TestStoreKillRecover is the ISSUE acceptance scenario: SIGKILL the
-// store mid-upload (blob write and journal append) and mid-compaction;
-// on reopen of the same data directory the catalog lists exactly the
-// committed datasets, a mine over a recovered dataset is byte-identical
-// to its pre-kill output, and no *.tmp debris survives recovery.
+// TestStoreKillRecover SIGKILLs the store mid-upload (blob write and
+// journal append), mid-compaction, and mid-append of rows to the stable
+// dataset (spliced blob write and journal append); on reopen of the
+// same data directory the catalog lists exactly the committed datasets,
+// a mine over a recovered dataset is byte-identical to its pre-kill
+// output, and no *.tmp debris survives recovery.
 func TestStoreKillRecover(t *testing.T) {
-	for _, mode := range []string{"mid-blob", "mid-journal", "mid-compact"} {
+	for _, mode := range []string{"mid-blob", "mid-journal", "mid-compact", "mid-append-blob", "mid-append-journal"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openStore(t, dir, Options{})

@@ -39,6 +39,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,6 +68,8 @@ var (
 		"Datasets currently live in the store catalog.")
 	metricJournalRecords = obs.Default.Gauge("dmc_store_journal_records",
 		"Records in the CATALOG journal (compaction resets to the live count).")
+	metricBlobMismatches = obs.Default.Counter("dmc_store_blob_mismatches_total",
+		"Live blobs an append found unreadable or not matching their content address; the append re-encoded the dataset instead.")
 )
 
 const (
@@ -260,10 +263,93 @@ func (s *Store) Load(name string) (*matrix.Matrix, error) {
 func (s *Store) Put(name string, m *matrix.Matrix) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	data, err := matrix.EncodeBinary(m)
+	if err != nil {
+		return Entry{}, fmt.Errorf("store: put %q: %w", name, err)
+	}
+	return s.commitLocked(name, m, data, m.NumOnes())
+}
+
+// Append durably stores grown under name exactly as Put does, for a
+// caller that promises grown's first rows are the matrix stored at
+// content address baseHash. When name's live entry is at baseHash and
+// its blob and labels still hash to it, grown's blob is that blob's
+// row records plus the new rows' (matrix.ExtendBinary), so the encode
+// follows the batch, not the dataset. Every other case — no entry,
+// another address (a racing Put), a read error or a mismatch — encodes
+// grown in full, which also replaces a damaged blob instead of copying
+// the damage forward. The committed bytes are the same either way.
+func (s *Store) Append(name, baseHash string, grown *matrix.Matrix) (Entry, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ones, ok := s.spliceLocked(name, baseHash, grown)
+	if !ok {
+		var err error
+		if data, err = matrix.EncodeBinary(grown); err != nil {
+			return Entry{}, fmt.Errorf("store: put %q: %w", name, err)
+		}
+		ones = grown.NumOnes()
+	}
+	return s.commitLocked(name, grown, data, ones)
+}
+
+// spliceLocked returns grown's blob built on the live blob of name and
+// grown's count of ones, both derived from that entry, when the entry
+// is at baseHash, holds at most grown's rows, and its blob and labels
+// re-hash to baseHash. ok is false otherwise.
+func (s *Store) spliceLocked(name, baseHash string, grown *matrix.Matrix) (data []byte, ones int, ok bool) {
+	rec, live := s.entries[name]
+	if !live || s.entryLocked(rec).Hash != baseHash || rec.Rows > grown.NumRows() {
+		return nil, 0, false
+	}
+	fs := s.opts.fs()
+	path := filepath.Join(s.dir, filepath.FromSlash(rec.Blob))
+	old, err := readFile(fs, path)
+	var labels []byte
+	if err == nil && rec.Labeled && rec.Cols > 0 { // no companion is written for zero labels
+		labels, err = readFile(fs, path+".labels")
+	}
+	if err != nil || hashBytes(old, labels) != baseHash {
+		metricBlobMismatches.Inc()
+		return nil, 0, false
+	}
+	if data, err = matrix.ExtendBinary(old, grown); err != nil {
+		// The verified base is wider than grown, so grown does not
+		// extend it: the caller's promise does not hold.
+		return nil, 0, false
+	}
+	ones = rec.Ones
+	for i := rec.Rows; i < grown.NumRows(); i++ {
+		ones += grown.RowWeight(i)
+	}
+	return data, ones, true
+}
+
+// readFile reads the whole of path through fs.
+func readFile(fs fault.FS, path string) ([]byte, error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// commitLocked makes data, m's binary encoding, live under name — the
+// commit protocol Put and Append share. ones is m's count of ones.
+func (s *Store) commitLocked(name string, m *matrix.Matrix, data []byte, ones int) (Entry, error) {
 	if s.poisoned {
 		return Entry{}, ErrCorrupt
 	}
-	rec, err := s.writeBlobLocked(name, m)
+	rec, err := s.writeBlobLocked(name, m, data, ones)
 	if err != nil {
 		return Entry{}, fmt.Errorf("store: put %q: %w", name, err)
 	}
@@ -274,8 +360,8 @@ func (s *Store) Put(name string, m *matrix.Matrix) (Entry, error) {
 	metricPuts.Inc()
 	if s.total-len(s.entries) >= s.opts.compactEvery() {
 		// Compaction is an optimization: its failure must not fail the
-		// already-committed Put. A sick disk will resurface on the next
-		// mutation anyway.
+		// already-committed Put or Append. A sick disk will resurface on
+		// the next mutation anyway.
 		if err := s.compactLocked(); err == nil {
 			_ = s.gcBlobsLocked()
 		}
@@ -304,19 +390,16 @@ func (s *Store) Delete(name string) error {
 	return nil
 }
 
-// writeBlobLocked commits m's bytes as a content-addressed blob,
-// returning the journal record that would make it live. Blobs are
-// immutable: if the hash already exists on disk the write is skipped
-// (dedupe). The labels companion is committed before the data file so
-// a committed journal record never names a blob matrix.Load cannot
-// fully reconstruct.
-func (s *Store) writeBlobLocked(name string, m *matrix.Matrix) (record, error) {
-	data, err := matrix.EncodeBinary(m)
-	if err != nil {
-		return record{}, err
-	}
+// writeBlobLocked commits data, m's binary encoding, as a
+// content-addressed blob, returning the journal record that would make
+// it live. Blobs are immutable: if the hash already exists on disk the
+// write is skipped (dedupe). The labels companion is committed before
+// the data file so a committed journal record never names a blob
+// matrix.Load cannot fully reconstruct.
+func (s *Store) writeBlobLocked(name string, m *matrix.Matrix, data []byte, ones int) (record, error) {
 	var labels []byte
 	if m.Labels() != nil {
+		var err error
 		labels, err = matrix.EncodeLabels(m.Labels())
 		if err != nil {
 			return record{}, err
@@ -336,7 +419,7 @@ func (s *Store) writeBlobLocked(name string, m *matrix.Matrix) (record, error) {
 	}
 	return record{
 		Op: "put", Name: name, Blob: blobRel,
-		Rows: m.NumRows(), Cols: m.NumCols(), Ones: m.NumOnes(),
+		Rows: m.NumRows(), Cols: m.NumCols(), Ones: ones,
 		Labeled: m.Labels() != nil, Size: int64(len(data)),
 	}, nil
 }
