@@ -32,10 +32,11 @@ test:
 
 # The whole internal tree under the race detector once, then the
 # mining worker fan-out (several goroutines per pass sharing one tail
-# build and one broadcast reader) repeated ten times.
+# build and one broadcast reader) and the per-dataset mining memo
+# (concurrent first mines racing to fill it) repeated ten times.
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource' ./internal/core
+	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource|Prepared' ./internal/core
 	$(GO) test -race -count=10 -run 'ParityAcrossWorkers|ConcurrentPass|FaultMatrixCancel' ./internal/stream
 
 bench:
@@ -129,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run=NoTests -fuzz=FuzzEncodeBinary -fuzztime=5s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzExtendBinary -fuzztime=5s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzDecodeIncremental -fuzztime=10s ./internal/core
+	$(GO) test -run=NoTests -fuzz=FuzzPreparedParity -fuzztime=10s ./internal/core
 	$(GO) test -run=NoTests -fuzz=FuzzCountKernels -fuzztime=10s ./internal/bitset
 
 # The load benchmark's own tests (its own module): percentile and

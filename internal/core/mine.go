@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dmc/internal/matrix"
@@ -56,7 +57,7 @@ func mineMatrix[R any](fam family[R], m *matrix.Matrix, t Threshold, opts Option
 	start := time.Now()
 	ones := m.Ones()
 	src := MatrixSource(m, opts.Order.order(m))
-	return mine(fam, src, ones, t, opts, workers, time.Since(start), fn)
+	return mine(fam, src, ones, t, opts, workers, time.Since(start), nil, fn)
 }
 
 // mineAll is mineMatrix collecting the rules.
@@ -77,7 +78,7 @@ func mineSource[R any](fam family[R], src Source, ones []int, t Threshold, opts 
 	var out []R
 	var st Stats
 	if err := capturePass(func() {
-		st = mine(fam, src, ones, t, opts, workers, 0, func(r R) { out = append(out, r) })
+		st = mine(fam, src, ones, t, opts, workers, 0, nil, func(r R) { out = append(out, r) })
 	}); err != nil {
 		return nil, Stats{}, err
 	}
@@ -97,6 +98,15 @@ func mineSource[R any](fam family[R], src Source, ones []int, t Threshold, opts 
 //
 // Options.SingleScan instead runs step 3 alone over every column.
 //
+// memo, when non-nil, is a Prepared's slot for fam's 100% rules, which
+// no threshold changes. A filled slot stands in for step 1: its rules
+// are emitted as copies and the phase neither runs nor reports. An
+// empty one records step 1's rules here on the coordinating goroutine
+// and is filled once the phase completes, so a cancelled or
+// budget-aborted phase stores nothing; when two first mines race, the
+// first store wins. The caller passes a slot only for requests whose
+// 100% rules are the whole matrix's (Options.memoable).
+//
 // The columns are divided among workers (≤ 0 means one per CPU) by
 // shardOwnership, and each worker keeps candidate lists — and emits
 // rules — only for the columns it owns. One worker scans src.Pass() on
@@ -105,7 +115,7 @@ func mineSource[R any](fam family[R], src Source, ones []int, t Threshold, opts 
 // durations are wall-clock, counts and memory peaks are summed over the
 // workers, switch positions come from the first worker that switched.
 // A pass failure panics with its SourceError.
-func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Options, workers int, prescan time.Duration, fn func(R)) Stats {
+func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Options, workers int, prescan time.Duration, memo *atomic.Pointer[[]R], fn func(R)) Stats {
 	t.check()
 	workers = ResolveWorkers(workers)
 	pipeline := fam.name
@@ -124,7 +134,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 		st.NumRules++
 		fn(r)
 	}
-	phase := func(phase100 bool, scan scanFunc[R]) {
+	phase := func(phase100 bool, scan scanFunc[R], emit func(R)) {
 		t0 := time.Now()
 		ws := runPhase(src, owned, opts.SampleMemory, scan, emit)
 		d := time.Since(t0)
@@ -143,12 +153,33 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 	if opts.SingleScan {
 		phase(false, func(rows Rows, owned []bool, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
 			fam.scanLT(rows, mcols, ones, supportAlive, owned, t, wopts, share, mem, ws, emit)
-		})
+		}, emit)
 		st.ColumnsAfterCutoff = mcols
 	} else {
-		phase(true, func(rows Rows, owned []bool, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
-			fam.scan100(rows, mcols, ones, supportAlive, owned, wopts, share, mem, ws, emit)
-		})
+		var hit *[]R
+		if memo != nil {
+			hit = memo.Load()
+		}
+		if hit != nil {
+			for _, r := range *hit {
+				emit(r)
+			}
+		} else {
+			var found []R
+			emit100 := emit
+			if memo != nil {
+				emit100 = func(r R) {
+					found = append(found, r)
+					emit(r)
+				}
+			}
+			phase(true, func(rows Rows, owned []bool, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
+				fam.scan100(rows, mcols, ones, supportAlive, owned, wopts, share, mem, ws, emit)
+			}, emit100)
+			if memo != nil {
+				memo.CompareAndSwap(nil, &found)
+			}
+		}
 		if !t.IsOne() {
 			minOnes := fam.minOnes(t)
 			alive := make([]bool, mcols)
@@ -164,7 +195,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 						emit(r)
 					}
 				})
-			})
+			}, emit)
 		}
 	}
 

@@ -131,10 +131,14 @@ type Hooks struct {
 	// OnPhase fires once per completed phase with its wall-clock
 	// duration. Pipelines are "imp" and "sim", suffixed "-parallel"
 	// when the resolved worker count is above 1 ("imp-parallel",
-	// "sim-parallel"); phases are "prescan", "100" and "lt".
+	// "sim-parallel"); phases are "prescan", "100" and "lt". A
+	// Prepared mine fires "100" only when it computes the 100% rules,
+	// not when it reuses its memo, and after its first mine its
+	// "prescan" times only the scan order.
 	OnPhase func(pipeline, phase string, d time.Duration)
 	// OnBitmapSwitch fires when a phase switched to DMC-bitmap, with
-	// the scan position of the switch.
+	// the scan position of the switch (never for a "100" phase a
+	// Prepared memo stood in for).
 	OnBitmapSwitch func(pipeline, phase string, pos int)
 	// OnStats fires once at the end of a run with the full Stats.
 	OnStats func(pipeline string, st Stats)
@@ -196,9 +200,11 @@ type MemSample struct {
 // memory figures follow the paper's counter-array model (Options doc).
 type Stats struct {
 	// Prescan is the first pass: counting ones(c) per column (and, for
-	// the pipelines, deriving the bucket order).
+	// the pipelines, deriving the bucket order). A Prepared counts
+	// ones(c) once, so its later mines time only the order.
 	Prescan time.Duration
-	// Phase100 is the 100%-rule (or identical-column) phase.
+	// Phase100 is the 100%-rule (or identical-column) phase; 0 when a
+	// Prepared memo stood in for it.
 	Phase100 time.Duration
 	// PhaseLT is the less-than-100% phase.
 	PhaseLT time.Duration

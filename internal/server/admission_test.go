@@ -237,7 +237,7 @@ func TestBrownoutDegradesToStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Add("baskets", m)
-	s.imps.resident = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(*core.Prepared, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
 		t.Error("resident pipeline ran during brownout")
 		return nil, core.Stats{}, nil
 	}
@@ -258,8 +258,8 @@ func TestBrownoutDegradesToStream(t *testing.T) {
 
 	// Ledger back under the ceiling: the resident pipeline serves again.
 	s.resident.Store(0)
-	s.imps.resident = func(m *matrix.Matrix, th core.Threshold, o core.Options, w int) ([]rules.Implication, core.Stats, error) {
-		rs, st := core.DMCImp(m, th, o)
+	s.imps.resident = func(p *core.Prepared, th core.Threshold, o core.Options, w int) ([]rules.Implication, core.Stats, error) {
+		rs, st := p.Implications(th, o, w)
 		return rs, st, nil
 	}
 	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=100", http.StatusOK, &resp)

@@ -45,7 +45,7 @@ func TestClientDisconnectCancelsMine(t *testing.T) {
 	}
 	s.Add("slow", m)
 	sawCancel := make(chan error, 1)
-	s.imps.resident = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(_ *core.Prepared, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
 		<-o.Ctx.Done() // a real pipeline polls this each interrupt stride
 		err := &core.CancelError{Cause: o.Ctx.Err()}
 		sawCancel <- err
@@ -82,7 +82,7 @@ func TestClientDisconnectCancelsMine(t *testing.T) {
 // out-of-core engine and still return the exact rules — 200, not 507.
 func TestBudgetDegradeToStream(t *testing.T) {
 	s := NewWith(Config{MemBudgetBytes: 1})
-	s.imps.resident = func(m *matrix.Matrix, th core.Threshold, o core.Options, workers int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(_ *core.Prepared, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
 		// Resident pipeline stand-in that cannot honor a 1-byte budget;
 		// the streamed fallback runs the real engine, whose bitmap
 		// endgame absorbs the overflow.
@@ -111,10 +111,10 @@ func TestBudgetDegradeToStream(t *testing.T) {
 // budget, the client gets a typed 507, not a 500 or wrong rules.
 func TestBudgetExhausted507(t *testing.T) {
 	s := NewWith(Config{})
-	s.imps.resident = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(*core.Prepared, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
 		return nil, core.Stats{}, nil
 	}
-	s.sims.resident = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Similarity, core.Stats, error) {
+	s.sims.resident = func(*core.Prepared, core.Threshold, core.Options, int) ([]rules.Similarity, core.Stats, error) {
 		return nil, core.Stats{}, &core.BudgetError{Bytes: 128, Budget: 64, RemainingRows: 10}
 	}
 	// Make the sim degrade path fail the same way, so the 507 surfaces.

@@ -163,7 +163,7 @@ func slowServer(t *testing.T, cfg Config, d time.Duration) (*Server, *httptest.S
 		t.Fatal(err)
 	}
 	s.Add("slow", m)
-	s.imps.resident = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(*core.Prepared, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
 		time.Sleep(d)
 		return []rules.Implication{{From: 0, To: 1, Hits: 2, Ones: 2}}, core.Stats{NumRules: 1}, nil
 	}

@@ -346,7 +346,7 @@ func runJobMine[R, W any](s *Server, pl *pipeline[R, W], d *dataset, j jobs.Job,
 	if d.m == nil {
 		rs, st, err = pl.file(d.path, thr, opts, s.jobStreamCfg(j, env, opts.Ctx))
 	} else {
-		rs, st, err = mineMem(s, pl, d.m, thr, opts, j.Params.Workers)
+		rs, st, err = mineMem(s, pl, d, thr, opts, j.Params.Workers)
 	}
 	if err != nil {
 		return nil, 0, err

@@ -17,6 +17,7 @@ import (
 	"dmc/internal/core"
 	"dmc/internal/jobs"
 	"dmc/internal/matrix"
+	"dmc/internal/obs"
 	"dmc/internal/rules"
 )
 
@@ -173,7 +174,7 @@ func TestJobSubmitValidationHTTP(t *testing.T) {
 func slowJobsServer(t *testing.T, cfg Config, d time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
 	s, ts := jobsServer(t, cfg)
-	s.imps.resident = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(_ *core.Prepared, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
 		select {
 		case <-time.After(d):
 		case <-o.Ctx.Done():
@@ -270,7 +271,7 @@ func TestSSESlowReaderDropped(t *testing.T) {
 	s, ts := jobsServer(t, Config{})
 	// A mine that floods the hub with far more phase events than any
 	// subscriber buffer holds.
-	s.imps.resident = func(_ *matrix.Matrix, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(_ *core.Prepared, _ core.Threshold, o core.Options, _ int) ([]rules.Implication, core.Stats, error) {
 		for i := 0; i < 500; i++ {
 			o.Hooks.OnPhase("imp", fmt.Sprintf("phase-%d", i), time.Millisecond)
 		}
@@ -339,7 +340,7 @@ func TestSSEDisconnectNoLeak(t *testing.T) {
 // the breach answers 429 with a Retry-After and counts on
 // dmc_tenant_quota_rejections_total, and another tenant is unaffected.
 func TestTenantJobQuota(t *testing.T) {
-	s, ts := slowJobsServer(t, Config{TenantQuota: TenantQuota{MaxJobs: 1}}, time.Minute)
+	s, ts := slowJobsServer(t, Config{TenantQuota: TenantQuota{MaxJobs: 1}, Registry: obs.NewRegistry()}, time.Minute)
 	doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/mine", "alice", "x y\nx y\n", http.StatusCreated, nil)
 	doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/yours", "bob", "x y\nx y\n", http.StatusCreated, nil)
 	var j jobs.Job
@@ -370,7 +371,7 @@ func TestTenantJobQuota(t *testing.T) {
 // catalog; replacing your own dataset stays within quota, a foreign
 // name is taken (409), and breaches answer 429.
 func TestTenantDatasetQuota(t *testing.T) {
-	s, ts := jobsServer(t, Config{TenantQuota: TenantQuota{MaxDatasets: 1}})
+	s, ts := jobsServer(t, Config{TenantQuota: TenantQuota{MaxDatasets: 1}, Registry: obs.NewRegistry()})
 	doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/a1", "alice", "x y\nx y\n", http.StatusCreated, nil)
 	resp := doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/a2", "alice", "x y\nx y\n", http.StatusTooManyRequests, nil)
 	if resp.Header.Get("Retry-After") == "" {
@@ -395,7 +396,7 @@ func TestTenantDatasetQuota(t *testing.T) {
 }
 
 func TestTenantByteQuota(t *testing.T) {
-	s, ts := jobsServer(t, Config{TenantQuota: TenantQuota{MaxBytes: 1 << 10}})
+	s, ts := jobsServer(t, Config{TenantQuota: TenantQuota{MaxBytes: 1 << 10}, Registry: obs.NewRegistry()})
 	big := strings.Repeat("item0 item1 item2 item3 item4 item5 item6 item7\n", 400)
 	doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/big", "alice", big, http.StatusTooManyRequests, nil)
 	if got := s.metrics.tenantRejects.With("alice", "bytes").Value(); got != 1 {

@@ -24,12 +24,12 @@ import (
 type pipeline[R, W any] struct {
 	// name is the family's metrics label, cache family and job pipeline.
 	name string
-	// resident mines an in-memory matrix with the §7 column-partitioned
-	// engine (workers 1 = the serial scan, 0 = one worker per CPU).
-	// Cancellation and budget overflow (SourceError panics) surface as
-	// errors via core.CapturePass. file streams a file-backed dataset
-	// from disk through the out-of-core engine.
-	resident func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
+	// resident mines an in-memory dataset through its memo with the §7
+	// column-partitioned engine (workers 1 = the serial scan, 0 = one
+	// worker per CPU). Cancellation and budget overflow (SourceError
+	// panics) surface as errors via core.CapturePass. file streams a
+	// file-backed dataset from disk through the out-of-core engine.
+	resident func(p *core.Prepared, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
 	file     func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]R, core.Stats, error)
 	fleet    func(c *fleet.Coordinator, ctx context.Context, ds fleet.DatasetRef, p fleet.Params) ([]R, fleet.Stats, error)
 	derive   func(inc *core.Incremental, t core.Threshold, o core.Options) []R
@@ -44,7 +44,7 @@ type pipeline[R, W any] struct {
 
 var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 	name:     "imp",
-	resident: residentEngine(core.DMCImpParallel),
+	resident: residentEngine((*core.Prepared).Implications),
 	file:     stream.MineImplicationsCfg,
 	fleet:    (*fleet.Coordinator).MineImplications,
 	derive:   (*core.Incremental).Implications,
@@ -73,7 +73,7 @@ var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 
 var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 	name:     "sim",
-	resident: residentEngine(core.DMCSimParallel),
+	resident: residentEngine((*core.Prepared).Similarities),
 	file:     stream.MineSimilaritiesCfg,
 	fleet:    (*fleet.Coordinator).MineSimilarities,
 	derive:   (*core.Incremental).Similarities,
@@ -111,11 +111,11 @@ var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 }
 
 // residentEngine adapts a panic-based core miner to pipeline.resident.
-func residentEngine[R any](mine func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats)) func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats, error) {
-	return func(m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
+func residentEngine[R any](mine func(*core.Prepared, core.Threshold, core.Options, int) ([]R, core.Stats)) func(*core.Prepared, core.Threshold, core.Options, int) ([]R, core.Stats, error) {
+	return func(p *core.Prepared, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
 		var rs []R
 		var st core.Stats
-		err := core.CapturePass(func() { rs, st = mine(m, t, o, workers) })
+		err := core.CapturePass(func() { rs, st = mine(p, t, o, workers) })
 		return rs, st, err
 	}
 }
@@ -206,14 +206,14 @@ func mineLocal[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *
 		if d.m == nil {
 			return pl.file(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
 		}
-		return mineMem(s, pl, d.m, core.FromPercent(p.threshold), opts, p.workers)
+		return mineMem(s, pl, d, core.FromPercent(p.threshold), opts, p.workers)
 	})
 }
 
-// mineMem mines a resident dataset with two degrade paths into the
-// partitioned out-of-core engine, whose density-bucket re-ordering and
-// disk-backed passes are exactly the paper's answer to counter arrays
-// that outgrow memory:
+// mineMem mines a resident dataset through its memo (d.prep), with two
+// degrade paths into the partitioned out-of-core engine, whose
+// density-bucket re-ordering and disk-backed passes are exactly the
+// paper's answer to counter arrays that outgrow memory:
 //
 //   - brownout: when the admission ledger says this mine would push the
 //     resident-mine footprint past Config.BrownoutBytes, it runs out of
@@ -222,12 +222,12 @@ func mineLocal[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *
 //     spills the matrix and re-mines it out of core.
 //
 // Both paths count on dmc_mines_degraded_total.
-func mineMem[R, W any](s *Server, pl *pipeline[R, W], m *matrix.Matrix, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
+func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
 	var berr error // the budget overflow that triggered the degrade, if any
-	relMem, brownout := s.admitResident(residentFootprint(m.NumOnes(), m.NumCols()))
+	relMem, brownout := s.admitResident(d.footprint())
 	if !brownout {
 		defer relMem()
-		rs, st, err := pl.resident(m, t, o, workers)
+		rs, st, err := pl.resident(d.prep, t, o, workers)
 		if err == nil {
 			return rs, st, nil
 		}
@@ -236,7 +236,7 @@ func mineMem[R, W any](s *Server, pl *pipeline[R, W], m *matrix.Matrix, t core.T
 		}
 		berr = err
 	}
-	path, cleanup, serr := spillResident(m, s.scratchDir())
+	path, cleanup, serr := spillResident(d.m, s.scratchDir())
 	if serr != nil {
 		// Keep the triggering budget error in the chain (nil on the
 		// brownout path): the client must see that the mine overflowed

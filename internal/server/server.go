@@ -271,7 +271,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 // mine-result cache; empty means this dataset's results are not
 // cacheable (a file-backed dataset that never went through the store).
 type dataset struct {
-	m    *matrix.Matrix
+	m *matrix.Matrix
+	// prep memoizes m's threshold-independent mining work (ones(c) and
+	// the 100% rules); add sets it for every resident dataset. Any
+	// change to the data builds a new dataset, so it never goes stale.
+	prep *core.Prepared
 	path string
 	hash string
 	info DatasetInfo
@@ -405,6 +409,9 @@ func (s *Server) AddFile(name, path string) error {
 }
 
 func (s *Server) add(name string, d *dataset) {
+	if d.m != nil {
+		d.prep = core.Prepare(d.m)
+	}
 	s.mu.Lock()
 	s.datasets[name] = d
 	s.metrics.datasets.Set(int64(len(s.datasets)))
@@ -887,6 +894,12 @@ func (s *Server) noteCancelled(err error) error {
 // enforce a hard limit (core.Options.MemBudgetBytes does that).
 func residentFootprint(ones, cols int) int64 {
 	return int64(ones)*8 + int64(cols)*16
+}
+
+// footprint is residentFootprint of a resident dataset, from the ones
+// count its info already carries instead of a walk over every row.
+func (d *dataset) footprint() int64 {
+	return residentFootprint(d.info.Ones, d.info.Cols)
 }
 
 // scratchDir is where spill and degrade files land: the durable

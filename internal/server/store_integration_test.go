@@ -178,7 +178,7 @@ func TestBudgetErrorSurvivesFailedSpill(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, store.Options{})
 	s := NewWith(Config{Store: st})
-	s.imps.resident = func(*matrix.Matrix, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
+	s.imps.resident = func(*core.Prepared, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
 		return nil, core.Stats{}, &core.BudgetError{Bytes: 2, Budget: 1}
 	}
 	// Kill the spill: the scratch directory is gone, so MkdirTemp fails.
@@ -186,7 +186,7 @@ func TestBudgetErrorSurvivesFailedSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustParseBaskets(t, "a b\na b\n")
-	_, _, err := mineMem(s, &s.imps, m, core.FromPercent(80), core.Options{}, 1)
+	_, _, err := mineMem(s, &s.imps, &dataset{m: m, info: info("d", m)}, core.FromPercent(80), core.Options{}, 1)
 	if err == nil {
 		t.Fatal("failed spill reported success")
 	}
