@@ -155,7 +155,7 @@ func run(cfg runConfig) error {
 				break
 			}
 			var st core.Stats
-			rs, st, err = mineImpResident(m, th, opts, cfg)
+			rs, st, err = mineResident(m, th, opts, cfg, core.DMCImpParallel, stream.MineImplicationsCfg)
 			if err != nil {
 				return err
 			}
@@ -204,7 +204,7 @@ func run(cfg runConfig) error {
 				break
 			}
 			var st core.Stats
-			rs, st, err = mineSimResident(m, th, opts, cfg)
+			rs, st, err = mineResident(m, th, opts, cfg, core.DMCSimParallel, stream.MineSimilaritiesCfg)
 			if err != nil {
 				return err
 			}
@@ -317,35 +317,26 @@ func incStats(inc *core.Incremental) string {
 		inc.Pairs(), inc.CounterBytes())
 }
 
-// mineImpResident runs the in-memory dmc pipeline under the CLI's
-// context and memory budget. A budget overflow is not fatal: the input
-// is already a file on disk, so the mine degrades to the out-of-core
-// streaming engine against it and returns the identical rule set.
-func mineImpResident(m *matrix.Matrix, th core.Threshold, opts core.Options, cfg runConfig) ([]rules.Implication, core.Stats, error) {
-	var rs []rules.Implication
-	var st core.Stats
-	err := core.CapturePass(func() { rs, st = core.DMCImpParallel(m, th, opts, cfg.workers) })
-	var be *core.BudgetError
-	if err != nil && errors.As(err, &be) {
-		fmt.Fprintf(os.Stderr, "dmcmine: counter memory %d bytes exceeds -mem-budget %d; degrading to streamed mining\n",
-			be.Bytes, opts.MemBudgetBytes)
-		return stream.MineImplicationsCfg(cfg.in, th, opts, streamConfig(cfg))
-	}
-	return rs, st, err
-}
-
-// mineSimResident is mineImpResident for similarity rules.
-func mineSimResident(m *matrix.Matrix, th core.Threshold, opts core.Options, cfg runConfig) ([]rules.Similarity, core.Stats, error) {
-	var rs []rules.Similarity
-	var st core.Stats
-	err := core.CapturePass(func() { rs, st = core.DMCSimParallel(m, th, opts, cfg.workers) })
-	var be *core.BudgetError
-	if err != nil && errors.As(err, &be) {
-		fmt.Fprintf(os.Stderr, "dmcmine: counter memory %d bytes exceeds -mem-budget %d; degrading to streamed mining\n",
-			be.Bytes, opts.MemBudgetBytes)
-		return stream.MineSimilaritiesCfg(cfg.in, th, opts, streamConfig(cfg))
-	}
-	return rs, st, err
+// mineResident runs one of the in-memory dmc miners under the CLI's
+// context and memory budget. A budget overflow is not fatal: the loaded
+// matrix is spilled and re-mined out of core (stream.MineResident, the
+// degrade rung dmcserve shares), returning the identical rule set.
+func mineResident[R any](m *matrix.Matrix, th core.Threshold, opts core.Options, cfg runConfig,
+	mine func(*matrix.Matrix, core.Threshold, core.Options, int) ([]R, core.Stats),
+	file func(string, core.Threshold, core.Options, stream.Config) ([]R, core.Stats, error)) ([]R, core.Stats, error) {
+	return stream.MineResident(m, "", func() ([]R, core.Stats, error) {
+		var rs []R
+		var st core.Stats
+		err := core.CapturePass(func() { rs, st = mine(m, th, opts, cfg.workers) })
+		var be *core.BudgetError
+		if errors.As(err, &be) {
+			fmt.Fprintf(os.Stderr, "dmcmine: counter memory %d bytes exceeds -mem-budget %d; degrading to streamed mining\n",
+				be.Bytes, opts.MemBudgetBytes)
+		}
+		return rs, st, err
+	}, func(path string) ([]R, core.Stats, error) {
+		return file(path, th, opts, streamConfig(cfg))
+	})
 }
 
 func dmcStats(st core.Stats) string {

@@ -1,10 +1,8 @@
 package dmc
 
 import (
-	"errors"
 	"io"
 	"os"
-	"path/filepath"
 
 	"dmc/internal/core"
 	"dmc/internal/rules"
@@ -154,63 +152,32 @@ type BudgetError = core.BudgetError
 // MineImplicationsBudget is MineImplications under a hard memory
 // budget (opts.MemBudgetBytes) with graceful degradation: if the
 // resident pipeline overflows the budget and the DMC-bitmap endgame
-// cannot absorb the tail, the matrix is spilled to a temporary file and
+// cannot absorb the tail, the matrix is spilled under cfg.TmpDir and
 // re-mined through the partitioned out-of-core engine — the paper's
 // §4.1 density-bucket re-ordering plus disk-backed passes — instead of
 // failing. The rule set is identical either way.
 func MineImplicationsBudget(m *Matrix, minconf Threshold, opts Options, cfg StreamConfig) ([]Implication, Stats, error) {
-	var rs []Implication
-	var st Stats
-	err := core.CapturePass(func() { rs, st = core.DMCImp(m, minconf, opts) })
-	if err == nil {
-		return rs, st, nil
-	}
-	var be *core.BudgetError
-	if !errors.As(err, &be) {
-		return nil, st, err
-	}
-	path, cleanup, serr := spillForBudget(m)
-	if serr != nil {
-		return nil, st, serr
-	}
-	defer cleanup()
-	return stream.MineImplicationsCfg(path, minconf, opts, cfg)
+	return mineBudget(m, minconf, opts, cfg, core.DMCImp, stream.MineImplicationsCfg)
 }
 
 // MineSimilaritiesBudget is MineImplicationsBudget for similarity
 // rules.
 func MineSimilaritiesBudget(m *Matrix, minsim Threshold, opts Options, cfg StreamConfig) ([]Similarity, Stats, error) {
-	var rs []Similarity
-	var st Stats
-	err := core.CapturePass(func() { rs, st = core.DMCSim(m, minsim, opts) })
-	if err == nil {
-		return rs, st, nil
-	}
-	var be *core.BudgetError
-	if !errors.As(err, &be) {
-		return nil, st, err
-	}
-	path, cleanup, serr := spillForBudget(m)
-	if serr != nil {
-		return nil, st, serr
-	}
-	defer cleanup()
-	return stream.MineSimilaritiesCfg(path, minsim, opts, cfg)
+	return mineBudget(m, minsim, opts, cfg, core.DMCSim, stream.MineSimilaritiesCfg)
 }
 
-// spillForBudget saves m to a temporary binary file for the
-// degrade-to-disk path; cleanup removes it.
-func spillForBudget(m *Matrix) (string, func(), error) {
-	dir, err := os.MkdirTemp("", "dmc-budget-")
-	if err != nil {
-		return "", nil, err
-	}
-	path := filepath.Join(dir, "resident.dmb")
-	if err := Save(path, m); err != nil {
-		os.RemoveAll(dir)
-		return "", nil, err
-	}
-	return path, func() { os.RemoveAll(dir) }, nil
+// mineBudget runs one family's resident miner down stream.MineResident,
+// the degrade rung dmcserve and dmcmine share, with file as the
+// out-of-core engine.
+func mineBudget[R any](m *Matrix, t Threshold, opts Options, cfg StreamConfig,
+	mine func(*Matrix, Threshold, Options) ([]R, Stats),
+	file func(string, Threshold, Options, StreamConfig) ([]R, Stats, error)) ([]R, Stats, error) {
+	return stream.MineResident(m, cfg.TmpDir, func() ([]R, Stats, error) {
+		var rs []R
+		var st Stats
+		err := core.CapturePass(func() { rs, st = mine(m, t, opts) })
+		return rs, st, err
+	}, func(path string) ([]R, Stats, error) { return file(path, t, opts, cfg) })
 }
 
 // MineImplicationsEach mines like MineImplications but streams each

@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"dmc/internal/core"
 	"dmc/internal/matrix"
 	"dmc/internal/rules"
+	"dmc/internal/stream"
 )
 
 // TestAdmissionQueueFull: with the slot held and the queue at capacity,
@@ -287,23 +290,36 @@ func TestBrownoutAlwaysAdmitsFirstMine(t *testing.T) {
 	}
 }
 
-// TestScratchDirRoutesThroughStore is in store_integration_test.go;
-// here we pin the fallback: with no store the spill path uses the OS
-// temp dir (empty TmpDir) and still cleans up after itself.
+// TestStoreScratchRoutesSpills is in store_integration_test.go; here we
+// pin the fallback: with no store the degrade rung spills under the OS
+// temp dir (empty TmpDir), re-mines the spilled file, and still cleans
+// up after itself.
 func TestSpillResidentFallback(t *testing.T) {
 	m, err := matrix.ReadBaskets(strings.NewReader("a b\na b\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, cleanup, err := spillResident(m, "")
+	s := New()
+	if dir := s.scratchDir(); dir != "" {
+		t.Fatalf("scratchDir without a store = %q, want the OS temp dir", dir)
+	}
+	var spilled string
+	_, _, err = stream.MineResident(m, s.scratchDir(), func() ([]rules.Implication, core.Stats, error) {
+		return nil, core.Stats{}, &core.BudgetError{Bytes: 2, Budget: 1}
+	}, func(path string) ([]rules.Implication, core.Stats, error) {
+		spilled = path
+		if _, err := matrix.Load(path); err != nil {
+			t.Fatalf("spilled matrix unreadable: %v", err)
+		}
+		return nil, core.Stats{}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := matrix.Load(path); err != nil {
-		t.Fatalf("spilled matrix unreadable: %v", err)
+	if rel, err := filepath.Rel(os.TempDir(), spilled); err != nil || strings.HasPrefix(rel, "..") {
+		t.Fatalf("spill %q is not under the OS temp dir %q", spilled, os.TempDir())
 	}
-	cleanup()
-	if _, err := matrix.Load(path); err == nil {
+	if _, err := matrix.Load(spilled); err == nil {
 		t.Fatal("cleanup left the spill file behind")
 	}
 }

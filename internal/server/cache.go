@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"syscall"
 
 	"dmc/internal/cache"
 	"dmc/internal/core"
@@ -178,14 +177,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		// splice the new rows onto the blob it holds at that address.
 		e, err := s.st.Append(name, d.hash, grown)
 		if err != nil {
-			switch {
-			case errors.Is(err, syscall.ENOSPC):
-				writeErr(w, r, http.StatusInsufficientStorage, "persisting appended dataset: %v", err)
-			case errors.Is(err, store.ErrCorrupt):
-				writeErr(w, r, http.StatusServiceUnavailable, "persisting appended dataset: %v", err)
-			default:
-				writeErr(w, r, http.StatusInternalServerError, "persisting appended dataset: %v", err)
-			}
+			writeStoreErr(w, r, "persisting appended dataset", err)
 			return
 		}
 		inf.Durable = true
@@ -220,11 +212,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.st != nil && d.info.Durable {
 		if err := s.st.Delete(name); err != nil && !errors.Is(err, store.ErrNotFound) {
-			if errors.Is(err, store.ErrCorrupt) {
-				writeErr(w, r, http.StatusServiceUnavailable, "deleting dataset: %v", err)
-			} else {
-				writeErr(w, r, http.StatusInternalServerError, "deleting dataset: %v", err)
-			}
+			writeStoreErr(w, r, "deleting dataset", err)
 			return
 		}
 	}

@@ -120,16 +120,13 @@ func (s *Server) handleFleetShard(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveShard answers one shard task of pl's family: the cached partial
-// result or a fresh mine of the owned columns, written canonically
-// sorted.
+// serveShard answers one shard task of pl's family down the ladder —
+// the cached partial result or a fresh mine of the owned columns —
+// written canonically sorted.
 func serveShard[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *pipeline[R, W], d *dataset, p params) {
-	rs, ok := cachedRules(s, pl, d, p)
+	rs, _, ok := ladder(s, pl, d, p, s.runMine(w, r), s.streamCfg(p.workers))
 	if !ok {
-		if rs, _, ok = mineLocal(s, w, r, pl, pl.name+"-shard", d, p); !ok {
-			return
-		}
-		storeRules(s, pl, d, p, rs)
+		return
 	}
 	pl.canon(rs)
 	writeRulePayload(w, func(buf *bytes.Buffer) error { return pl.write(buf, rs) })
@@ -184,15 +181,4 @@ func (s *Server) fleetReady(w http.ResponseWriter, r *http.Request, d *dataset) 
 		return false
 	}
 	return true
-}
-
-func (s *Server) fleetRef(d *dataset) fleet.DatasetRef {
-	return fleet.DatasetRef{Name: d.info.Name, Hash: d.hash, M: d.m}
-}
-
-func (s *Server) fleetParams(p params) fleet.Params {
-	return fleet.Params{
-		ThresholdPercent: p.threshold, MinSupport: p.minSupport,
-		Workers: p.workers,
-	}
 }

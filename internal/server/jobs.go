@@ -31,7 +31,6 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/jobs"
-	"dmc/internal/stream"
 )
 
 // OpenJobs enables the async job subsystem at dir: the JOBS journal is
@@ -308,67 +307,55 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob is the jobs.Runner this server injects into its manager: it
-// executes one mine session against the tenant's dataset and returns
-// the canonical dmcrules payload. Streamed datasets wire the job's
-// scratch directory into the out-of-core engine's checkpoint machinery,
-// which is what makes a SIGKILL'd session resumable; resident mines
-// reuse the synchronous path's degrade ladder (brownout, budget
-// overflow → out-of-core). The payload is rendered deterministically —
-// canonical sort, fixed text format — so a resumed session is
-// byte-identical to an uninterrupted one.
+// runs one mine session against the tenant's dataset down the ladder
+// and returns the canonical dmcrules payload. A cached or
+// snapshot-derived result costs no scan (and publishes no phase or
+// stats frames); a scan's result warms the cache. Streamed datasets
+// wire the job's scratch directory into the out-of-core engine's
+// checkpoint machinery, which is what makes a SIGKILL'd session
+// resumable. The payload is rendered deterministically — canonical
+// sort, fixed text format — so a resumed session is byte-identical to
+// an uninterrupted one.
 func (s *Server) runJob(ctx context.Context, j jobs.Job, env jobs.RunEnv) ([]byte, int, error) {
 	d, ok := s.getFor(j.Tenant, j.Params.Dataset)
 	if !ok {
 		return nil, 0, fmt.Errorf("dataset %q no longer exists", j.Params.Dataset)
 	}
-	opts := core.Options{
-		MinSupport:     j.Params.MinSupport,
-		MemBudgetBytes: s.cfg.MemBudgetBytes,
-		Ctx:            ctx,
-		Hooks:          s.jobHooks(j, env),
-	}
 	switch j.Params.Pipeline {
 	case "imp":
-		return runJobMine(s, &s.imps, d, j, env, opts)
+		return runJobMine(ctx, s, &s.imps, d, j, env)
 	case "sim":
-		return runJobMine(s, &s.sims, d, j, env, opts)
+		return runJobMine(ctx, s, &s.sims, d, j, env)
 	}
 	return nil, 0, fmt.Errorf("unknown pipeline %q", j.Params.Pipeline)
 }
 
-// runJobMine mines d for job j with pl's engines and renders the
-// canonically sorted payload.
-func runJobMine[R, W any](s *Server, pl *pipeline[R, W], d *dataset, j jobs.Job, env jobs.RunEnv, opts core.Options) ([]byte, int, error) {
-	thr := core.FromPercent(j.Params.Threshold)
-	var rs []R
-	var st core.Stats
+// runJobMine runs job j down pl's ladder and renders the canonically
+// sorted payload. The job pool has already admitted the job, so a scan
+// runs directly, reporting to the job's SSE feed.
+func runJobMine[R, W any](ctx context.Context, s *Server, pl *pipeline[R, W], d *dataset, j jobs.Job, env jobs.RunEnv) ([]byte, int, error) {
 	var err error
-	if d.m == nil {
-		rs, st, err = pl.file(d.path, thr, opts, s.jobStreamCfg(j, env, opts.Ctx))
-	} else {
-		rs, st, err = mineMem(s, pl, d, thr, opts, j.Params.Workers)
+	run := func(label string, mine func(context.Context, *core.Hooks) (core.Stats, error)) bool {
+		var st core.Stats
+		if st, err = mine(ctx, s.jobHooks(j, env)); err != nil {
+			return false
+		}
+		s.recordMine(label, st)
+		return true
 	}
-	if err != nil {
+	sc := s.streamCfg(j.Params.Workers)
+	sc.CheckpointDir, sc.Resume, sc.OnResume = env.CheckpointDir, env.Resume, env.OnResume
+	p := params{threshold: j.Params.Threshold, minSupport: j.Params.MinSupport, workers: j.Params.Workers}
+	rs, _, ok := ladder(s, pl, d, p, run, sc)
+	if !ok {
 		return nil, 0, err
 	}
-	s.recordMine(pl.name, st)
 	pl.canon(rs)
 	var payload bytes.Buffer
 	if err := pl.write(&payload, rs); err != nil {
 		return nil, 0, err
 	}
 	return payload.Bytes(), len(rs), nil
-}
-
-// jobStreamCfg is streamCfg plus the job's checkpoint wiring: the
-// partition spills into the job's scratch directory and a later session
-// resumes it instead of re-reading the input.
-func (s *Server) jobStreamCfg(j jobs.Job, env jobs.RunEnv, ctx context.Context) stream.Config {
-	cfg := s.streamCfg(j.Params.Workers, ctx)
-	cfg.CheckpointDir = env.CheckpointDir
-	cfg.Resume = env.Resume
-	cfg.OnResume = env.OnResume
-	return cfg
 }
 
 // jobHooks forwards the run's phase/stats hooks both to the server's

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"sort"
@@ -121,11 +120,9 @@ func residentEngine[R any](mine func(*core.Prepared, core.Threshold, core.Option
 }
 
 // handleMine serves GET /v1/datasets/{name}/implications and
-// /similarities down one ladder: the result cache, then the snapshot
-// derivation, then a fleet scatter (?fleet=1) or a local scan, caching
-// whatever was mined. The response renders in pl's deterministic wire
-// order, so a cached or incremental replay is byte-identical to the
-// full scan it stands in for.
+// /similarities down the ladder. The response renders in pl's
+// deterministic wire order, so a cached or incremental replay is
+// byte-identical to the full scan it stands in for.
 func handleMine[R, W any](s *Server, pl *pipeline[R, W]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -143,42 +140,15 @@ func handleMine[R, W any](s *Server, pl *pipeline[R, W]) http.HandlerFunc {
 			writeErr(w, r, http.StatusBadRequest, "%v", err)
 			return
 		}
+		if p.fleet && !s.fleetReady(w, r, d) {
+			return
+		}
 		start := time.Now()
-		source := "cache"
-		rs, ok := cachedRules(s, pl, d, p)
+		rs, source, ok := ladder(s, pl, d, p, s.runMine(w, r), s.streamCfg(p.workers))
 		if !ok {
-			source = ""
-			if inc, ok := s.snapshot(d); ok {
-				// Derive from the resumable counters — O(pairs), no scan, no
-				// admission slot — then cache the result for O(1) repeats.
-				rs = pl.derive(inc, core.FromPercent(p.threshold), core.Options{MinSupport: p.minSupport})
-				source = "incremental"
-				s.metrics.incMines.With(pl.name).Inc()
-				storeRules(s, pl, d, p, rs)
-			}
+			return
 		}
-		var st core.Stats
-		if source == "" {
-			if p.fleet {
-				if !s.fleetReady(w, r, d) {
-					return
-				}
-				rs, st, ok = runMine(s, w, r, pl.name+"-fleet", func(ctx context.Context) ([]R, core.Stats, error) {
-					return mineFleet(ctx, s, pl, d, p)
-				})
-				source = "fleet"
-			} else {
-				rs, st, ok = mineLocal(s, w, r, pl, pl.name, d, p)
-			}
-			if !ok {
-				return
-			}
-			storeRules(s, pl, d, p, rs)
-		}
-		elapsed := st.Total
-		if source != "" {
-			elapsed = time.Since(start)
-		}
+		elapsed := time.Since(start)
 		pl.wireSort(rs)
 		resp := MineResponse[W]{
 			Dataset: name, Threshold: p.threshold, Total: len(rs), ElapsedMS: elapsed.Milliseconds(),
@@ -195,25 +165,79 @@ func handleMine[R, W any](s *Server, pl *pipeline[R, W]) http.HandlerFunc {
 	}
 }
 
-// mineLocal mines d on this node under admission control (runMine,
-// counted under label): file-backed datasets stream through pl.file,
-// resident ones run the degrade ladder of mineMem.
-func mineLocal[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *pipeline[R, W], label string, d *dataset, p params) ([]R, core.Stats, bool) {
-	opts := core.Options{MinSupport: p.minSupport, Hooks: s.hooks, MemBudgetBytes: s.cfg.MemBudgetBytes, Shard: p.shard}
-	return runMine(s, w, r, label, func(ctx context.Context) ([]R, core.Stats, error) {
-		opts := opts
-		opts.Ctx = ctx
-		if d.m == nil {
-			return pl.file(d.path, core.FromPercent(p.threshold), opts, s.streamCfg(p.workers, ctx))
+// runner runs the ladder's scan rung under its caller's admission:
+// runMine for HTTP requests, a direct call for jobs, which the job pool
+// has already admitted. It hands mine the context to honour and the
+// hooks to report phases to, and records the run's metrics under
+// label. It reports whether mine succeeded; on failure it has already
+// answered for the error.
+type runner func(label string, mine func(ctx context.Context, hooks *core.Hooks) (core.Stats, error)) bool
+
+// ladder is the one serving decision of every mine: HTTP mines,
+// expansions, fleet shard tasks and async jobs. It tries the result
+// cache, then a derivation from d's resumable snapshot, then a scan
+// under run: a fleet scatter for p.fleet, otherwise a local mine, where
+// a file-backed dataset streams through pl.file with sc and a resident
+// one takes mineMem. It caches what it computed and returns the rules
+// and the rung that served them: "cache", "incremental", "fleet", or
+// "" for a local scan. ok is false when the scan failed.
+//
+// The cache and snapshot rungs take no admission slot and start no
+// goroutine. Shard tasks skip the snapshot: a derivation ignores
+// Options.Shard and would return every column's rules.
+func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run runner, sc stream.Config) ([]R, string, bool) {
+	if rs, ok := cachedRules(s, pl, d, p); ok {
+		return rs, "cache", true
+	}
+	t := core.FromPercent(p.threshold)
+	if p.shard == nil {
+		if inc, ok := s.snapshot(d); ok {
+			// O(pairs) from the resumable counters, no scan.
+			rs := pl.derive(inc, t, core.Options{MinSupport: p.minSupport})
+			s.metrics.incMines.With(pl.name).Inc()
+			storeRules(s, pl, d, p, rs)
+			return rs, "incremental", true
 		}
-		return mineMem(s, pl, d, core.FromPercent(p.threshold), opts, p.workers)
-	})
+	}
+	// A scan that run abandons at its deadline may still finish in the
+	// background: it writes only mined and sc, which nothing reads
+	// after run returns false.
+	var mined []R
+	label, rung := pl.name, ""
+	scan := func(ctx context.Context, hooks *core.Hooks) (st core.Stats, err error) {
+		opts := core.Options{MinSupport: p.minSupport, Hooks: hooks, MemBudgetBytes: s.cfg.MemBudgetBytes, Shard: p.shard, Ctx: ctx}
+		if d.m != nil {
+			mined, st, err = mineMem(s, pl, d, t, opts, p.workers)
+		} else {
+			sc.Ctx = ctx
+			mined, st, err = pl.file(d.path, t, opts, sc)
+		}
+		return st, err
+	}
+	switch {
+	case p.fleet:
+		label, rung = pl.name+"-fleet", "fleet"
+		scan = func(ctx context.Context, _ *core.Hooks) (core.Stats, error) {
+			rs, _, err := pl.fleet(s.cfg.Fleet, ctx, fleet.DatasetRef{Name: d.info.Name, Hash: d.hash, M: d.m},
+				fleet.Params{ThresholdPercent: p.threshold, MinSupport: p.minSupport, Workers: p.workers})
+			mined = rs
+			return core.Stats{NumRules: len(rs)}, err
+		}
+	case p.shard != nil:
+		label += "-shard"
+	}
+	if !run(label, scan) {
+		return nil, "", false
+	}
+	storeRules(s, pl, d, p, mined)
+	return mined, rung, true
 }
 
-// mineMem mines a resident dataset through its memo (d.prep), with two
-// degrade paths into the partitioned out-of-core engine, whose
-// density-bucket re-ordering and disk-backed passes are exactly the
-// paper's answer to counter arrays that outgrow memory:
+// mineMem mines a resident dataset through its memo (d.prep) down the
+// degrade rung it shares with the library and dmcmine
+// (stream.MineResident), whose density-bucket re-ordering and
+// disk-backed passes are the paper's answer to counter arrays that
+// outgrow memory:
 //
 //   - brownout: when the admission ledger says this mine would push the
 //     resident-mine footprint past Config.BrownoutBytes, it runs out of
@@ -223,40 +247,22 @@ func mineLocal[R, W any](s *Server, w http.ResponseWriter, r *http.Request, pl *
 //
 // Both paths count on dmc_mines_degraded_total.
 func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
-	var berr error // the budget overflow that triggered the degrade, if any
-	relMem, brownout := s.admitResident(d.footprint())
-	if !brownout {
-		defer relMem()
+	cfg := s.streamCfg(workers)
+	cfg.Ctx = o.Ctx
+	resident := func() ([]R, core.Stats, error) {
 		rs, st, err := pl.resident(d.prep, t, o, workers)
-		if err == nil {
-			return rs, st, nil
-		}
-		if !isBudgetErr(err) {
-			return nil, st, s.noteCancelled(err)
-		}
-		berr = err
+		return rs, st, s.noteCancelled(err)
 	}
-	path, cleanup, serr := spillResident(d.m, s.scratchDir())
-	if serr != nil {
-		// Keep the triggering budget error in the chain (nil on the
-		// brownout path): the client must see that the mine overflowed
-		// its budget, not just that the fallback's spill failed.
-		return nil, core.Stats{}, errors.Join(berr, serr)
+	release, brownout := s.admitResident(d.footprint())
+	if brownout {
+		resident = nil
+	} else {
+		defer release()
 	}
-	defer cleanup()
-	s.metrics.degraded.Inc()
-	return pl.file(path, t, o, s.streamCfg(workers, o.Ctx))
-}
-
-// mineFleet scatters a mine across the fleet and gathers the exact
-// single-node rule set.
-func mineFleet[R, W any](ctx context.Context, s *Server, pl *pipeline[R, W], d *dataset, p params) ([]R, core.Stats, error) {
-	start := time.Now()
-	rs, _, err := pl.fleet(s.cfg.Fleet, ctx, s.fleetRef(d), s.fleetParams(p))
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return rs, core.Stats{NumRules: len(rs), Total: time.Since(start)}, nil
+	return stream.MineResident(d.m, cfg.TmpDir, resident, func(path string) ([]R, core.Stats, error) {
+		s.metrics.degraded.Inc()
+		return pl.file(path, t, o, cfg)
+	})
 }
 
 // cachedRules returns the cached rule set for (d, p), if any.

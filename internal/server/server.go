@@ -109,12 +109,6 @@ type Config struct {
 	Cache *cache.Cache
 	// MaxUploadBytes caps PUT bodies; zero means 64MB.
 	MaxUploadBytes int64
-	// ReadHeaderTimeout, ReadTimeout, WriteTimeout and IdleTimeout are
-	// the http.Server knobs; zeros mean 10s, 5m, 5m and 2m.
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
 	// ShutdownGrace bounds the drain of in-flight requests once Run's
 	// context is canceled; zero means 30s.
 	ShutdownGrace time.Duration
@@ -397,15 +391,27 @@ func (s *Server) wantHash() bool {
 // here; mining requests stream the rows from disk through the
 // out-of-core engine. The file must outlive the server.
 func (s *Server) AddFile(name, path string) error {
-	rr, closer, err := matrix.OpenRowReader(path)
+	d, err := fileDataset(name, path)
 	if err != nil {
 		return err
 	}
-	closer.Close()
-	s.add(name, &dataset{path: path, info: DatasetInfo{
-		Name: name, Rows: rr.NumRows(), Cols: rr.NumCols(), Streamed: true,
-	}})
+	s.add(name, d)
 	return nil
+}
+
+// fileDataset describes the matrix file at path as a file-backed
+// dataset, reading only its header. Callers set the rest (owner,
+// content address, durability) before s.add publishes it: readers
+// take its fields without the lock.
+func fileDataset(name, path string) (*dataset, error) {
+	rr, closer, err := matrix.OpenRowReader(path)
+	if err != nil {
+		return nil, err
+	}
+	closer.Close()
+	return &dataset{path: path, info: DatasetInfo{
+		Name: name, Rows: rr.NumRows(), Cols: rr.NumCols(), Streamed: true,
+	}}, nil
 }
 
 func (s *Server) add(name string, d *dataset) {
@@ -611,10 +617,10 @@ func endpointLabel(r *http.Request) string {
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: durOr(s.cfg.ReadHeaderTimeout, 10*time.Second),
-		ReadTimeout:       durOr(s.cfg.ReadTimeout, 5*time.Minute),
-		WriteTimeout:      durOr(s.cfg.WriteTimeout, 5*time.Minute),
-		IdleTimeout:       durOr(s.cfg.IdleTimeout, 2*time.Minute),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       5 * time.Minute,
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
 		ErrorLog:          slog.NewLogLogger(s.cfg.logger().Handler(), slog.LevelWarn),
 	}
 	errc := make(chan error, 1)
@@ -735,14 +741,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		// vanish in a restart.
 		e, err := s.st.Put(name, m)
 		if err != nil {
-			switch {
-			case errors.Is(err, syscall.ENOSPC):
-				writeErr(w, r, http.StatusInsufficientStorage, "persisting dataset: %v", err)
-			case errors.Is(err, store.ErrCorrupt):
-				writeErr(w, r, http.StatusServiceUnavailable, "persisting dataset: %v", err)
-			default:
-				writeErr(w, r, http.StatusInternalServerError, "persisting dataset: %v", err)
-			}
+			writeStoreErr(w, r, "persisting dataset", err)
 			return
 		}
 		inf.Durable = true
@@ -753,19 +752,15 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 			// is served file-backed from its committed blob immediately,
 			// not held resident until the next restart happens to route
 			// it correctly.
-			if err := s.AddFile(name, e.Path); err != nil {
+			d, err := fileDataset(name, e.Path)
+			if err != nil {
 				writeErr(w, r, http.StatusInternalServerError, "registering dataset as streamed: %v", err)
 				return
 			}
-			s.mu.Lock()
-			s.datasets[name].info.Durable = true
-			s.datasets[name].hash = hash
-			s.datasets[name].tenant = tenant
-			s.datasets[name].bytes = size
-			inf = s.datasets[name].info
-			s.mu.Unlock()
+			d.info.Durable, d.hash, d.tenant, d.bytes = true, hash, tenant, size
+			s.add(name, d)
 			s.noteTenantUsage(tenant)
-			writeJSON(w, http.StatusCreated, inf)
+			writeJSON(w, http.StatusCreated, d.info)
 			return
 		}
 	} else if s.wantHash() {
@@ -792,67 +787,69 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.info)
 }
 
-// runMine executes mine under admission control and the per-request
-// deadline, recording run metrics on success. Admission may shed the
-// request outright — draining server, full queue, or a deadline the
-// queue-wait estimate already proves unmeetable — with 429/503 plus
-// Retry-After. The context handed to mine is the request's own (so a
-// client disconnect cancels an abandoned mine) bounded by
-// RequestTimeout; the pipelines observe it via core.Options.Ctx and
-// abort at their next interrupt poll, which is what frees the
-// admission slot promptly instead of burning CPU for a caller that is
-// gone. On shed or deadline expiry the error response is written here
-// and ok=false returned; typed mining failures map to stable statuses
-// (503 cancelled/deadline, 507 memory budget, 500 otherwise).
-func runMine[R any](s *Server, w http.ResponseWriter, r *http.Request, pipeline string, mine func(ctx context.Context) ([]R, core.Stats, error)) ([]R, core.Stats, bool) {
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	if s.draining.Load() {
-		s.writeShed(w, r, &shedInfo{
-			status: http.StatusServiceUnavailable, reason: shedDraining,
-			retryAfter: retryAfter(durOr(s.cfg.ShutdownGrace, 30*time.Second)),
-			msg:        "server is draining for shutdown; retry against another replica",
-		})
-		return nil, core.Stats{}, false
-	}
-	s.metrics.queued.Set(s.adm.queueDepth())
-	release, shed := s.adm.acquire(ctx, requestTenant(r))
-	s.metrics.queued.Set(s.adm.queueDepth())
-	if shed != nil {
-		s.writeShed(w, r, shed)
-		return nil, core.Stats{}, false
-	}
-	s.metrics.inflight.Inc()
-	start := time.Now()
-	done := func() {
-		s.metrics.inflight.Dec()
-		s.adm.observe(time.Since(start))
-		release()
-	}
-	type result struct {
-		rs  []R
-		st  core.Stats
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		defer done()
-		rs, st, err := mine(ctx)
-		ch <- result{rs, st, err}
-	}()
-	select {
-	case <-ctx.Done():
-		s.metrics.timeouts.Inc()
-		setRetryAfter(w, s.adm.estRetryAfter())
-		writeErr(w, r, http.StatusServiceUnavailable, "mining did not finish before the request deadline; narrow the query or raise the limit")
-		return nil, core.Stats{}, false
-	case res := <-ch:
-		if res.err != nil {
+// runMine is the ladder's runner for request r: it executes mine under
+// admission control and the per-request deadline, recording run
+// metrics on success. Admission may shed the request outright —
+// draining server, full queue, or a deadline the queue-wait estimate
+// already proves unmeetable — with 429/503 plus Retry-After. The
+// context handed to mine is the request's own (so a client disconnect
+// cancels an abandoned mine) bounded by RequestTimeout; the pipelines
+// observe it via core.Options.Ctx and abort at their next interrupt
+// poll, which is what frees the admission slot promptly instead of
+// burning CPU for a caller that is gone. On shed or deadline expiry the
+// error response is written here and false returned; typed mining
+// failures map to stable statuses (503 cancelled/deadline, 507 memory
+// budget, 500 otherwise).
+func (s *Server) runMine(w http.ResponseWriter, r *http.Request) runner {
+	return func(pipeline string, mine func(context.Context, *core.Hooks) (core.Stats, error)) bool {
+		ctx := r.Context()
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
+		if s.draining.Load() {
+			s.writeShed(w, r, &shedInfo{
+				status: http.StatusServiceUnavailable, reason: shedDraining,
+				retryAfter: retryAfter(durOr(s.cfg.ShutdownGrace, 30*time.Second)),
+				msg:        "server is draining for shutdown; retry against another replica",
+			})
+			return false
+		}
+		s.metrics.queued.Set(s.adm.queueDepth())
+		release, shed := s.adm.acquire(ctx, requestTenant(r))
+		s.metrics.queued.Set(s.adm.queueDepth())
+		if shed != nil {
+			s.writeShed(w, r, shed)
+			return false
+		}
+		s.metrics.inflight.Inc()
+		start := time.Now()
+		type result struct {
+			st  core.Stats
+			err error
+		}
+		ch := make(chan result, 1)
+		go func() {
+			defer func() {
+				s.metrics.inflight.Dec()
+				s.adm.observe(time.Since(start))
+				release()
+			}()
+			st, err := mine(ctx, s.hooks)
+			ch <- result{st, err}
+		}()
+		select {
+		case <-ctx.Done():
+			s.metrics.timeouts.Inc()
+			setRetryAfter(w, s.adm.estRetryAfter())
+			writeErr(w, r, http.StatusServiceUnavailable, "mining did not finish before the request deadline; narrow the query or raise the limit")
+			return false
+		case res := <-ch:
 			switch {
+			case res.err == nil:
+				s.recordMine(pipeline, res.st)
+				return true
 			case errors.Is(res.err, context.Canceled) || errors.Is(res.err, context.DeadlineExceeded):
 				s.metrics.timeouts.Inc()
 				setRetryAfter(w, s.adm.estRetryAfter())
@@ -864,10 +861,8 @@ func runMine[R any](s *Server, w http.ResponseWriter, r *http.Request, pipeline 
 					slog.String("request_id", obs.RequestID(r.Context())), slog.Any("error", res.err))
 				writeErr(w, r, http.StatusInternalServerError, "mining failed: %v", res.err)
 			}
-			return nil, core.Stats{}, false
+			return false
 		}
-		s.recordMine(pipeline, res.st)
-		return res.rs, res.st, true
 	}
 }
 
@@ -913,24 +908,10 @@ func (s *Server) scratchDir() string {
 	return ""
 }
 
-// streamCfg is the out-of-core engine configuration for one mine.
-func (s *Server) streamCfg(workers int, ctx context.Context) stream.Config {
-	return stream.Config{Workers: workers, Ctx: ctx, TmpDir: s.scratchDir()}
-}
-
-// spillResident saves a resident matrix to a temp binary file under
-// dir ("" = OS temp) for the degrade-to-disk path; cleanup removes it.
-func spillResident(m *matrix.Matrix, dir string) (string, func(), error) {
-	tmp, err := os.MkdirTemp(dir, "dmc-degrade-")
-	if err != nil {
-		return "", nil, err
-	}
-	path := filepath.Join(tmp, "resident"+matrix.ExtBinary)
-	if err := matrix.Save(path, m); err != nil {
-		os.RemoveAll(tmp)
-		return "", nil, err
-	}
-	return path, func() { os.RemoveAll(tmp) }, nil
+// streamCfg is the out-of-core engine configuration for one mine; the
+// caller sets its context.
+func (s *Server) streamCfg(workers int) stream.Config {
+	return stream.Config{Workers: workers, TmpDir: s.scratchDir()}
 }
 
 // recordMine feeds one run's core.Stats into the registry; phase
@@ -1022,7 +1003,8 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "depth must be -1 (unlimited) or >= 0")
 		return
 	}
-	rs, _, ok := mineLocal(s, w, r, &s.imps, s.imps.name, d, p)
+	p.fleet = false // an expansion mines on this node
+	rs, _, ok := ladder(s, &s.imps, d, p, s.runMine(w, r), s.streamCfg(p.workers))
 	if !ok {
 		return
 	}
@@ -1145,6 +1127,20 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, format string,
 	writeJSON(w, status, body)
 }
 
+// writeStoreErr answers a failed store operation: a full disk is 507,
+// a poisoned store 503 (the replica needs a restart; go elsewhere),
+// anything else 500.
+func writeStoreErr(w http.ResponseWriter, r *http.Request, what string, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, syscall.ENOSPC):
+		status = http.StatusInsufficientStorage
+	case errors.Is(err, store.ErrCorrupt):
+		status = http.StatusServiceUnavailable
+	}
+	writeErr(w, r, status, "%s: %v", what, err)
+}
+
 // LoadStore registers every dataset in Config.Store's recovered
 // catalog: blobs at or above Config.StreamMinBytes stay on disk and
 // mine through the out-of-core engine; the rest load into memory with
@@ -1156,13 +1152,12 @@ func (s *Server) LoadStore() error {
 	}
 	for _, e := range s.st.List() {
 		if s.cfg.StreamMinBytes > 0 && e.Size >= s.cfg.StreamMinBytes {
-			if err := s.AddFile(e.Name, e.Path); err != nil {
+			d, err := fileDataset(e.Name, e.Path)
+			if err != nil {
 				return fmt.Errorf("registering stored dataset %q as streamed: %w", e.Name, err)
 			}
-			s.mu.Lock()
-			s.datasets[e.Name].info.Durable = true
-			s.datasets[e.Name].hash = e.Hash
-			s.mu.Unlock()
+			d.info.Durable, d.hash = true, e.Hash
+			s.add(e.Name, d)
 			continue
 		}
 		m, err := s.st.Load(e.Name)

@@ -6,14 +6,19 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dmc/internal/core"
 	"dmc/internal/fault"
 	"dmc/internal/matrix"
+	"dmc/internal/obs"
 	"dmc/internal/rules"
 	"dmc/internal/store"
+	"dmc/internal/stream"
 )
 
 func mustParseBaskets(t *testing.T, text string) *matrix.Matrix {
@@ -170,6 +175,57 @@ func TestPutStreamsBigBlobs(t *testing.T) {
 	}
 }
 
+// TestStreamedPutPublishesOwned: a PUT routed file-backed publishes a
+// dataset whose owner, content address and byte count are already set.
+// Readers take those fields without the lock, so the default tenant
+// must never glimpse another tenant's upload under the same name, and
+// the race detector must see no write to a published dataset.
+func TestStreamedPutPublishesOwned(t *testing.T) {
+	st := openTestStore(t, t.TempDir(), store.Options{})
+	s := NewWith(Config{Store: st, StreamMinBytes: 1, Registry: obs.NewRegistry()})
+	h := s.Handler()
+	var foreign, partial atomic.Int64
+	stop, polled := make(chan struct{}), make(chan struct{})
+	stopPolling := sync.OnceFunc(func() { close(stop); <-polled })
+	defer stopPolling()
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, ok := s.getFor(defaultTenant, "shared"); ok {
+				foreign.Add(1)
+			}
+			if d, ok := s.getFor("acme", "shared"); ok && (!d.info.Durable || d.hash == "" || d.bytes == 0) {
+				partial.Add(1)
+			}
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 60; i++ {
+		req := httptest.NewRequest(http.MethodPut, "/v1/datasets/shared", strings.NewReader(basketBody))
+		req.Header.Set(tenantHeader, "acme")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("PUT %d: status %d\n%s", i, rec.Code, rec.Body)
+		}
+	}
+	stopPolling()
+	if n := foreign.Load(); n != 0 {
+		t.Fatalf("the default tenant saw acme's dataset %d times", n)
+	}
+	if n := partial.Load(); n != 0 {
+		t.Fatalf("acme's dataset was visible %d times before its owner fields were set", n)
+	}
+	if d, ok := s.getFor("acme", "shared"); !ok || d.m != nil || !d.info.Durable || d.hash == "" || d.bytes == 0 {
+		t.Fatalf("final registration = %+v, want acme's durable file-backed dataset", d)
+	}
+}
+
 // TestBudgetErrorSurvivesFailedSpill: when a budget-overflow degrade
 // cannot even spill the matrix, the surfaced error must still carry the
 // triggering *core.BudgetError (so the client learns the mine
@@ -218,9 +274,10 @@ func TestPutENOSPCIs507(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/datasets/doomed", http.StatusNotFound, nil)
 }
 
-// TestStoreScratchRoutesSpills: with a store configured, degrade spills
-// land in the store's scratch directory (swept at boot), not the OS
-// temp dir.
+// TestStoreScratchRoutesSpills: with a store configured, a resident
+// mine that overflows its budget spills into the store's scratch
+// directory (swept at boot), not the OS temp dir, and the spill is gone
+// once the mine returns.
 func TestStoreScratchRoutesSpills(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, store.Options{})
@@ -228,18 +285,30 @@ func TestStoreScratchRoutesSpills(t *testing.T) {
 	if got := s.scratchDir(); got != st.ScratchDir() {
 		t.Fatalf("scratchDir = %q, want %q", got, st.ScratchDir())
 	}
+	s.imps.resident = func(*core.Prepared, core.Threshold, core.Options, int) ([]rules.Implication, core.Stats, error) {
+		return nil, core.Stats{}, &core.BudgetError{Bytes: 2, Budget: 1}
+	}
+	var spilled string
+	s.imps.file = func(path string, th core.Threshold, o core.Options, cfg stream.Config) ([]rules.Implication, core.Stats, error) {
+		spilled = path
+		if _, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+		return stream.MineImplicationsCfg(path, th, o, cfg)
+	}
 	m := mustParseBaskets(t, "a b\na b\n")
-	path, cleanup, err := spillResident(m, s.scratchDir())
-	if err != nil {
-		t.Fatal(err)
+	s.Add("d", m)
+	d, _ := s.get("d")
+	rs, _, err := mineMem(s, &s.imps, d, core.FromPercent(80), core.Options{}, 1)
+	if err != nil || len(rs) == 0 {
+		t.Fatalf("degraded mine: %d rules, err %v", len(rs), err)
 	}
-	defer cleanup()
-	rel, err := filepath.Rel(st.ScratchDir(), path)
+	rel, err := filepath.Rel(st.ScratchDir(), spilled)
 	if err != nil || strings.HasPrefix(rel, "..") {
-		t.Fatalf("spill %q escaped the store scratch dir %q", path, st.ScratchDir())
+		t.Fatalf("spill %q escaped the store scratch dir %q", spilled, st.ScratchDir())
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(spilled); !os.IsNotExist(err) {
+		t.Fatalf("spill %q left behind after the mine: %v", spilled, err)
 	}
 }
 

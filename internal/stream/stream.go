@@ -31,6 +31,7 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/fault"
+	"dmc/internal/matrix"
 	"dmc/internal/obs"
 	"dmc/internal/rules"
 )
@@ -273,4 +274,36 @@ func MineSimilaritiesCfg(path string, minsim core.Threshold, opts core.Options, 
 	defer p.Close()
 	out, st, err := core.DMCSimParallelSource(p, p.Ones(), minsim, opts, cfg.Workers)
 	return out, st, noteCancelled(err)
+}
+
+// MineResident is the bottom rung of every resident mine. It runs
+// resident, the in-memory mine of m. When that overflows its memory
+// budget (a *core.BudgetError), it saves m under dir ("" = the OS temp
+// dir) and re-mines the saved file out of core with file, which is the
+// paper's answer to counters that outgrow memory (§4.1): the
+// density-bucket replay puts the dense rows last, where the DMC-bitmap
+// endgame absorbs them. The rule set is the same either way, and the
+// saved file is removed before MineResident returns. A nil resident
+// goes out of core at once. If the save fails, the budget error stays
+// in the returned chain beside the save error.
+func MineResident[R any](m *matrix.Matrix, dir string, resident func() ([]R, core.Stats, error), file func(path string) ([]R, core.Stats, error)) ([]R, core.Stats, error) {
+	var overflow error
+	if resident != nil {
+		rs, st, err := resident()
+		var be *core.BudgetError
+		if !errors.As(err, &be) {
+			return rs, st, err
+		}
+		overflow = err
+	}
+	tmp, err := os.MkdirTemp(dir, "dmc-degrade-")
+	if err != nil {
+		return nil, core.Stats{}, errors.Join(overflow, err)
+	}
+	defer os.RemoveAll(tmp)
+	path := filepath.Join(tmp, "resident"+matrix.ExtBinary)
+	if err := matrix.Save(path, m); err != nil {
+		return nil, core.Stats{}, errors.Join(overflow, err)
+	}
+	return file(path)
 }
