@@ -32,15 +32,17 @@ test:
 
 # The whole internal tree under the race detector once, then the
 # mining worker fan-out (several goroutines per pass sharing one tail
-# build and one broadcast reader), the per-dataset mining memo
-# (concurrent first mines racing to fill it), and the serving ladder
-# (jobs and HTTP mines racing on one key, a scan abandoned at its
-# deadline, a streamed PUT publishing its dataset) repeated ten times.
+# build and one broadcast reader, each walking its owned columns), the
+# per-dataset mining memo (concurrent first mines racing to fill it),
+# and the serving ladder (jobs and HTTP mines racing on one key, a scan
+# abandoned at its deadline, a streamed PUT publishing its dataset, a
+# mine borrowing an idle admission slot for a second worker) repeated
+# ten times.
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource|Prepared' ./internal/core
+	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource|Prepared|ColMask' ./internal/core
 	$(GO) test -race -count=10 -run 'ParityAcrossWorkers|ConcurrentPass|FaultMatrixCancel' ./internal/stream
-	$(GO) test -race -count=10 -run 'StreamedPut|LadderConcurrent|LadderAbandoned' ./internal/server
+	$(GO) test -race -count=10 -run 'StreamedPut|LadderConcurrent|LadderAbandoned|AutoWorkers' ./internal/server
 
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...

@@ -18,7 +18,7 @@ import (
 // columns; owned, when non-nil, restricts antecedents to the worker's
 // columns (parallel pipeline); share, when non-nil, is the shared
 // tail-bitmap coordinator.
-func imp100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
+func imp100Scan(rows Rows, mcols int, ones []int, alive, owned colMask, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
 	rk := ranker{ones}
 	cnt := make([]int, mcols)
 	cand := make([][]matrix.Col, mcols)
@@ -28,6 +28,7 @@ func imp100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 
 	bmMaxRows, bmMinBytes := opts.effectiveBitmap()
 	rowBuf := make([]matrix.Col, 0, 256)
+	var ownBuf []matrix.Col
 	n := rows.Len()
 	for pos := 0; pos < n; pos++ {
 		if pos&interruptStride == 0 {
@@ -42,10 +43,10 @@ func imp100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 			}
 			return
 		}
-		row := filterRow(rows.Row(pos), alive, &rowBuf)
-		for _, cj := range row {
+		row := alive.cols(rows.Row(pos), &rowBuf)
+		for _, cj := range owned.cols(row, &ownBuf) {
 			switch {
-			case released[cj] || (owned != nil && !owned[cj]):
+			case released[cj]:
 			case !hasList[cj]:
 				// Pessimistic len(row) sizing (as a heap make would
 				// use): the 3-index carve strands at most the same
@@ -104,7 +105,7 @@ func intersectIDs(lst, row []matrix.Col, mem *memMeter, st *Stats) []matrix.Col 
 // candidate's (no tail miss), decided by one blocked AndNotCountMany
 // sweep per column. Phase 2 covers columns whose first 1 lies in the
 // tail: every one of their rows must contain the consequent.
-func imp100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cnt []int, cand [][]matrix.Col, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
+func imp100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned colMask, cnt []int, cand [][]matrix.Col, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
 	tail, bms := share.get(rows, pos, mcols, alive, st)
 	empty := bitset.New(len(tail))
 	var tc tailCounter
@@ -127,7 +128,7 @@ func imp100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cn
 	}
 	for cj := 0; cj < mcols; cj++ {
 		if hasList[cj] || released[cj] || ones[cj] == 0 ||
-			(alive != nil && !alive[cj]) || (owned != nil && !owned[cj]) {
+			!alive.has(cj) || !owned.has(cj) {
 			continue
 		}
 		// cnt is 0: all of cj's 1s are in the tail.

@@ -40,7 +40,7 @@ func (r ranker) less(a, b matrix.Col) bool {
 // Every rule with confidence ≥ t whose antecedent is alive and owned is
 // emitted exactly once (including 100%-confidence ones; DMC-imp filters
 // those out when this scan runs as its second phase).
-func impScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
+func impScan(rows Rows, mcols int, ones []int, alive, owned colMask, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
 	rk := ranker{ones}
 	maxmis := make([]int, mcols)
 	for c := 0; c < mcols; c++ {
@@ -54,6 +54,7 @@ func impScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 
 	bmMaxRows, bmMinBytes := opts.effectiveBitmap()
 	rowBuf := make([]matrix.Col, 0, 256)
+	var ownBuf []matrix.Col
 	n := rows.Len()
 	for pos := 0; pos < n; pos++ {
 		if pos&interruptStride == 0 {
@@ -68,12 +69,11 @@ func impScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 			}
 			return
 		}
-		row := filterRow(rows.Row(pos), alive, &rowBuf)
-		for _, cj := range row {
+		row := alive.cols(rows.Row(pos), &rowBuf)
+		for _, cj := range owned.cols(row, &ownBuf) {
 			switch {
-			case released[cj] || (owned != nil && !owned[cj]):
-				// Released columns have all their 1s behind them;
-				// non-owned columns belong to another worker.
+			case released[cj]:
+				// Released columns have all their 1s behind them.
 			case !hasList[cj]:
 				// First 1 of cj (cnt is 0): every higher-rank column of
 				// this row becomes a candidate with zero misses. Sized
@@ -110,21 +110,6 @@ func impScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 		}
 		mem.snapshot(pos)
 	}
-}
-
-// filterRow drops masked columns from a row, reusing *buf.
-func filterRow(row []matrix.Col, alive []bool, buf *[]matrix.Col) []matrix.Col {
-	if alive == nil {
-		return row
-	}
-	out := (*buf)[:0]
-	for _, c := range row {
-		if alive[c] {
-			out = append(out, c)
-		}
-	}
-	*buf = out
-	return out
 }
 
 // shiftTail makes room for a merge that has compacted lst[:i] into out
@@ -343,7 +328,7 @@ func (tc *tailCounter) missesIDs(bmj *bitset.Set, lst []matrix.Col, bms []*bitse
 // ones(cj) − maxmis(cj) hits is a rule. Columns not on the list have
 // zero pre-switch hits by the list-completeness invariant, so seeding
 // only from the list is exact.
-func impBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, maxmis, cnt []int, cand [][]candEntry, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
+func impBitmap(rows Rows, pos, mcols int, ones []int, alive, owned colMask, maxmis, cnt []int, cand [][]candEntry, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Implication)) {
 	tail, bms := share.get(rows, pos, mcols, alive, st)
 	empty := bitset.New(len(tail))
 	var tc tailCounter
@@ -371,7 +356,7 @@ func impBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, maxmi
 	// Phase 2: columns that could still accept candidates.
 	for cj := 0; cj < mcols; cj++ {
 		if released[cj] || ones[cj] == 0 || cnt[cj] > maxmis[cj] ||
-			(alive != nil && !alive[cj]) || (owned != nil && !owned[cj]) {
+			!alive.has(cj) || !owned.has(cj) {
 			continue
 		}
 		needed := ones[cj] - maxmis[cj]
@@ -404,14 +389,14 @@ func impBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, maxmi
 // materialized (tail cells + bitmap payloads — the figure tailShare
 // de-duplicates across workers). Rows are copied because Rows
 // implementations may reuse their row buffers.
-func tailBitmaps(rows Rows, pos, mcols int, alive []bool) ([][]matrix.Col, []*bitset.Set, int) {
+func tailBitmaps(rows Rows, pos, mcols int, alive colMask) ([][]matrix.Col, []*bitset.Set, int) {
 	rem := rows.Len() - pos
 	tail := make([][]matrix.Col, rem)
 	bms := make([]*bitset.Set, mcols)
 	bytes := 0
 	var buf []matrix.Col
 	for o := 0; o < rem; o++ {
-		row := filterRow(rows.Row(pos+o), alive, &buf)
+		row := alive.cols(rows.Row(pos+o), &buf)
 		tail[o] = append([]matrix.Col(nil), row...)
 		bytes += 4 * len(row)
 		for _, c := range row {

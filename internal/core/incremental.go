@@ -180,7 +180,7 @@ func (inc *Incremental) Implications(minconf Threshold, opts Options) []rules.Im
 	var out []rules.Implication
 	for i, k := range inc.keys {
 		a, b, h := matrix.Col(k>>32), matrix.Col(k&0xffffffff), inc.hits[i]
-		if alive != nil && (!alive[a] || !alive[b]) {
+		if !alive.has(int(a)) || !alive.has(int(b)) {
 			continue
 		}
 		lo, hi := a, b
@@ -205,7 +205,7 @@ func (inc *Incremental) Similarities(minsim Threshold, opts Options) []rules.Sim
 	var out []rules.Similarity
 	for i, k := range inc.keys {
 		a, b, h := matrix.Col(k>>32), matrix.Col(k&0xffffffff), inc.hits[i]
-		if alive != nil && (!alive[a] || !alive[b]) {
+		if !alive.has(int(a)) || !alive.has(int(b)) {
 			continue
 		}
 		if minsim.MeetsSim(int(h), inc.ones[a], inc.ones[b]) {

@@ -221,7 +221,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	o.MinSupport = 2
 	mask := o.supportMask([]int{1, 2, 3})
-	if mask[0] || !mask[1] || !mask[2] {
+	if mask.has(0) || !mask.has(1) || !mask.has(2) {
 		t.Errorf("supportMask = %v", mask)
 	}
 }

@@ -40,8 +40,8 @@ var ErrSequentialSource = errors.New(
 // the test for rules the 100% phase already emitted.
 type family[R any] struct {
 	name     string
-	scan100  func(rows Rows, mcols int, ones []int, alive, owned []bool, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(R))
-	scanLT   func(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(R))
+	scan100  func(rows Rows, mcols int, ones []int, alive, owned colMask, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(R))
+	scanLT   func(rows Rows, mcols int, ones []int, alive, owned colMask, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(R))
 	minOnes  func(Threshold) int
 	found100 func(R) bool
 }
@@ -49,7 +49,7 @@ type family[R any] struct {
 // scanFunc is one phase's scan with the family, threshold and column
 // mask bound; what varies per worker is its view of the pass, the
 // columns it owns, and its own meter, stats and emitter.
-type scanFunc[R any] func(rows Rows, owned []bool, share *tailShare, mem *memMeter, st *Stats, emit func(R))
+type scanFunc[R any] func(rows Rows, owned colMask, share *tailShare, mem *memMeter, st *Stats, emit func(R))
 
 // mineMatrix is mine over an in-memory matrix; its prescan counts
 // ones(c) and derives Options.Order's scan order.
@@ -109,7 +109,9 @@ func mineSource[R any](fam family[R], src Source, ones []int, t Threshold, opts 
 //
 // The columns are divided among workers (≤ 0 means one per CPU) by
 // shardOwnership, and each worker keeps candidate lists — and emits
-// rules — only for the columns it owns. One worker scans src.Pass() on
+// rules — only for the columns it owns: it walks each row's owned
+// columns (colMask.cols) and merges them against the whole row. One
+// worker scans src.Pass() on
 // the calling goroutine and hands rules to fn as it finds them; several
 // need a ConcurrentSource (see runPhase). Stats are aggregated: phase
 // durations are wall-clock, counts and memory peaks are summed over the
@@ -151,7 +153,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 	}
 
 	if opts.SingleScan {
-		phase(false, func(rows Rows, owned []bool, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
+		phase(false, func(rows Rows, owned colMask, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
 			fam.scanLT(rows, mcols, ones, supportAlive, owned, t, wopts, share, mem, ws, emit)
 		}, emit)
 		st.ColumnsAfterCutoff = mcols
@@ -173,7 +175,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 					emit(r)
 				}
 			}
-			phase(true, func(rows Rows, owned []bool, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
+			phase(true, func(rows Rows, owned colMask, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
 				fam.scan100(rows, mcols, ones, supportAlive, owned, wopts, share, mem, ws, emit)
 			}, emit100)
 			if memo != nil {
@@ -182,14 +184,19 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 		}
 		if !t.IsOne() {
 			minOnes := fam.minOnes(t)
-			alive := make([]bool, mcols)
+			alive := make(colMask, mcols)
 			for c, k := range ones {
-				if k >= minOnes && (supportAlive == nil || supportAlive[c]) {
-					alive[c] = true
+				if k >= minOnes && supportAlive.has(c) {
+					alive[c] = 1
 					st.ColumnsAfterCutoff++
 				}
 			}
-			phase(false, func(rows Rows, owned []bool, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
+			if st.ColumnsAfterCutoff == mcols {
+				// Nothing was cut: scan the rows as they are instead
+				// of copying each through the mask.
+				alive = nil
+			}
+			phase(false, func(rows Rows, owned colMask, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
 				fam.scanLT(rows, mcols, ones, alive, owned, t, wopts, share, mem, ws, func(r R) {
 					if !fam.found100(r) {
 						emit(r)
@@ -227,7 +234,7 @@ type worker[R any] struct {
 // stopped, so a failed parallel mine follows the same protocol as a
 // serial one instead of crashing the process from a worker goroutine,
 // where no caller could recover it.
-func runPhase[R any](src Source, owned [][]bool, sample bool, scan scanFunc[R], emit func(R)) []worker[R] {
+func runPhase[R any](src Source, owned []colMask, sample bool, scan scanFunc[R], emit func(R)) []worker[R] {
 	ws := make([]worker[R], len(owned))
 	for i := range ws {
 		ws[i].st.SwitchPos100, ws[i].st.SwitchPosLT = -1, -1

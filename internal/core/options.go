@@ -164,13 +164,15 @@ func (h *Hooks) emitStats(pipeline string, st Stats) {
 
 // supportMask returns the column mask for MinSupport, or nil when no
 // support pruning is requested.
-func (o Options) supportMask(ones []int) []bool {
+func (o Options) supportMask(ones []int) colMask {
 	if o.MinSupport <= 1 {
 		return nil
 	}
-	alive := make([]bool, len(ones))
+	alive := make(colMask, len(ones))
 	for c, k := range ones {
-		alive[c] = k >= o.MinSupport
+		if k >= o.MinSupport {
+			alive[c] = 1
+		}
 	}
 	return alive
 }

@@ -87,7 +87,7 @@ func TestOwnershipPartition(t *testing.T) {
 	for c := range ones {
 		count := 0
 		for w := range owned {
-			if owned[w][c] {
+			if owned[w][c] == 1 {
 				count++
 			}
 		}
@@ -119,7 +119,7 @@ func TestOwnershipSnakeBalance(t *testing.T) {
 		loads := make([]int, workers)
 		for w := range owned {
 			for c, mine := range owned[w] {
-				if mine {
+				if mine == 1 {
 					loads[w] += ones[c]
 				}
 			}

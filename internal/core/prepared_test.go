@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"dmc/internal/gen"
 	"dmc/internal/matrix"
@@ -390,35 +391,44 @@ func FuzzPreparedParity(f *testing.F) {
 // BenchmarkPreparedKeys cycles the load benchmark's 15 keys
 // (implications at 55 to 90, similarities at 60 to 90, in steps of 5)
 // over its data, gen.Bench at scale 1/8, mining each fresh and through
-// a warm Prepared. One op is the whole cycle; the per-mine means of the
-// prescan, the 100% phase and the <100% phase show where the memo's
-// saving lands.
+// a warm Prepared at one and at two workers. One op is the whole cycle;
+// the per-mine means of the prescan, the 100% phase and the <100% phase
+// show where the memo's saving lands, and the per-key means (ms/imp55
+// and so on) where a second worker wins or loses.
 func BenchmarkPreparedKeys(b *testing.B) {
 	m := gen.Bench(gen.Config{Scale: 0.125, Seed: 1})
 	type key struct {
 		imp bool
-		th  Threshold
+		pct int
 	}
-	keys := []key{{true, FromPercent(55)}}
+	keys := []key{{true, 55}}
 	for pct := 60; pct <= 90; pct += 5 {
-		keys = append(keys, key{true, FromPercent(pct)}, key{false, FromPercent(pct)})
+		keys = append(keys, key{true, pct}, key{false, pct})
 	}
-	for _, side := range []string{"fresh", "memo"} {
-		b.Run(side, func(b *testing.B) {
+	for _, side := range []struct {
+		name    string
+		memo    bool
+		workers int
+	}{{"fresh", false, 1}, {"memo/w1", true, 1}, {"memo/w2", true, 2}} {
+		b.Run(side.name, func(b *testing.B) {
 			p := Prepare(m)
+			perKey := make([]float64, len(keys))
 			cycle := func() (prescan, p100, lt float64) {
-				for _, k := range keys {
+				for i, k := range keys {
+					th := FromPercent(k.pct)
+					start := time.Now()
 					var st Stats
 					switch {
-					case side == "fresh" && k.imp:
-						_, st = DMCImp(m, k.th, Options{})
-					case side == "fresh":
-						_, st = DMCSim(m, k.th, Options{})
+					case !side.memo && k.imp:
+						_, st = DMCImp(m, th, Options{})
+					case !side.memo:
+						_, st = DMCSim(m, th, Options{})
 					case k.imp:
-						_, st = p.Implications(k.th, Options{}, 1)
+						_, st = p.Implications(th, Options{}, side.workers)
 					default:
-						_, st = p.Similarities(k.th, Options{}, 1)
+						_, st = p.Similarities(th, Options{}, side.workers)
 					}
+					perKey[i] += time.Since(start).Seconds() * 1e3
 					prescan += st.Prescan.Seconds() * 1e3
 					p100 += st.Phase100.Seconds() * 1e3
 					lt += st.PhaseLT.Seconds() * 1e3
@@ -426,6 +436,7 @@ func BenchmarkPreparedKeys(b *testing.B) {
 				return prescan, p100, lt
 			}
 			cycle() // fills the memo; the fresh side just warms up
+			clear(perKey)
 			b.ResetTimer()
 			var prescan, p100, lt float64
 			for i := 0; i < b.N; i++ {
@@ -436,6 +447,13 @@ func BenchmarkPreparedKeys(b *testing.B) {
 			b.ReportMetric(prescan/mines, "prescan-ms/mine")
 			b.ReportMetric(p100/mines, "phase100-ms/mine")
 			b.ReportMetric(lt/mines, "phaselt-ms/mine")
+			for i, k := range keys {
+				fam := "sim"
+				if k.imp {
+					fam = "imp"
+				}
+				b.ReportMetric(perKey[i]/float64(b.N), fmt.Sprintf("ms/%s%d", fam, k.pct))
+			}
 		})
 	}
 }

@@ -92,3 +92,37 @@ type matrixRows struct {
 
 func (r matrixRows) Len() int               { return len(r.order) }
 func (r matrixRows) Row(i int) []matrix.Col { return r.m.Row(r.order[i]) }
+
+// colMask is a set of columns, a 0/1 byte per column; nil holds every
+// column. The scans take two: alive, the columns a phase reads at all
+// (the support floor, the step-3 cutoff), and owned, the columns a
+// worker keeps candidate lists for (shardOwnership). Bytes rather than
+// bools let cols compact a row with arithmetic instead of a branch per
+// column.
+type colMask []uint8
+
+// has reports whether the mask holds column c.
+func (m colMask) has(c int) bool { return m == nil || m[c] != 0 }
+
+// cols returns the columns of row the mask holds, in row order, reusing
+// *buf; a nil mask returns row itself. Every column is written and the
+// write index advances by its mask byte, so the walk has no branch on
+// the mask: under the snake walk ownership alternates column by column,
+// and a branch on it would mispredict about once per two columns of
+// every row. The scans dispatch only over a row's owned columns and
+// still merge against the whole alive row.
+func (m colMask) cols(row []matrix.Col, buf *[]matrix.Col) []matrix.Col {
+	if m == nil {
+		return row
+	}
+	if cap(*buf) < len(row) {
+		*buf = make([]matrix.Col, 0, 2*len(row))
+	}
+	out := (*buf)[:len(row)]
+	n := 0
+	for _, c := range row {
+		out[n] = c
+		n += int(m[c])
+	}
+	return out[:n]
+}

@@ -37,7 +37,7 @@ func (r *ShardRange) full(mcols int) bool {
 // mask materializes the owned mask the scans consume: nil when the
 // range covers everything, so the unsharded hot path keeps its
 // no-per-row-ownership-check property.
-func (r *ShardRange) mask(mcols int) []bool {
+func (r *ShardRange) mask(mcols int) colMask {
 	if r.full(mcols) {
 		return nil
 	}
@@ -48,9 +48,9 @@ func (r *ShardRange) mask(mcols int) []bool {
 	if hi > mcols {
 		hi = mcols
 	}
-	owned := make([]bool, mcols)
+	owned := make(colMask, mcols)
 	for c := lo; c < hi; c++ {
-		owned[c] = true
+		owned[c] = 1
 	}
 	return owned
 }
@@ -59,18 +59,18 @@ func (r *ShardRange) mask(mcols int) []bool {
 // runs over the in-shard columns only, so the per-worker ones-sum
 // balance holds within the shard, and out-of-shard columns belong to
 // no worker.
-func shardOwnership(ones []int, workers int, shard *ShardRange) [][]bool {
+func shardOwnership(ones []int, workers int, shard *ShardRange) []colMask {
 	mcols := len(ones)
 	if shard.full(mcols) {
 		return ownership(ones, workers)
 	}
 	allow := shard.mask(mcols)
 	if workers == 1 {
-		return [][]bool{allow}
+		return []colMask{allow}
 	}
 	idx := make([]int, 0, shard.Hi-shard.Lo)
 	for c, in := range allow {
-		if in {
+		if in == 1 {
 			idx = append(idx, c)
 		}
 	}
@@ -84,10 +84,10 @@ func shardOwnership(ones []int, workers int, shard *ShardRange) [][]bool {
 // every density stratum — round-robin over raw column ids balances
 // counts but lets a run of dense columns land on one worker; the snake
 // bounds the per-worker ones-sum imbalance by a single column's count.
-func ownership(ones []int, workers int) [][]bool {
+func ownership(ones []int, workers int) []colMask {
 	mcols := len(ones)
 	if workers == 1 {
-		return [][]bool{nil} // nil mask = own everything, no per-row check
+		return []colMask{nil} // nil mask = own everything, no per-row check
 	}
 	idx := make([]int, mcols)
 	for i := range idx {
@@ -99,16 +99,16 @@ func ownership(ones []int, workers int) [][]bool {
 // snakeOwnership assigns the candidate columns idx to workers with the
 // snake walk (idx need not be every column — shardOwnership passes the
 // in-shard subset); columns outside idx belong to no worker.
-func snakeOwnership(ones, idx []int, workers int) [][]bool {
+func snakeOwnership(ones, idx []int, workers int) []colMask {
 	mcols := len(ones)
 	idx = append([]int(nil), idx...)
 	sort.Slice(idx, func(a, b int) bool {
 		oa, ob := ones[idx[a]], ones[idx[b]]
 		return oa > ob || (oa == ob && idx[a] < idx[b])
 	})
-	owned := make([][]bool, workers)
+	owned := make([]colMask, workers)
 	for w := range owned {
-		owned[w] = make([]bool, mcols)
+		owned[w] = make(colMask, mcols)
 	}
 	for rank, c := range idx {
 		lap, off := rank/workers, rank%workers
@@ -116,7 +116,7 @@ func snakeOwnership(ones, idx []int, workers int) [][]bool {
 		if lap%2 == 1 {
 			w = workers - 1 - off
 		}
-		owned[w][c] = true
+		owned[w][c] = 1
 	}
 	return owned
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"dmc/internal/matrix"
 	"dmc/internal/rules"
 )
 
@@ -121,7 +123,7 @@ func TestShardOwnershipPartition(t *testing.T) {
 	for c := range ones {
 		count := 0
 		for w := range owned {
-			if owned[w][c] {
+			if owned[w][c] == 1 {
 				count++
 			}
 		}
@@ -136,5 +138,46 @@ func TestShardOwnershipPartition(t *testing.T) {
 	single := shardOwnership(ones, 1, shard)
 	if len(single) != 1 || single[0] == nil {
 		t.Fatal("single sharded worker should get the shard mask itself")
+	}
+}
+
+// colMask.cols must return exactly the masked columns of each row, in
+// row order, whatever rows came before it in the same buffer, and
+// never write to the row it reads; a nil mask returns the row itself.
+func TestColMaskCols(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const mcols = 40
+	for trial := 0; trial < 50; trial++ {
+		mask := make(colMask, mcols)
+		for c := range mask {
+			mask[c] = uint8(rng.Intn(2))
+		}
+		var buf []matrix.Col
+		for r := 0; r < 20; r++ {
+			var row []matrix.Col
+			for c := 0; c < mcols; c++ {
+				if rng.Intn(4) == 0 {
+					row = append(row, matrix.Col(c))
+				}
+			}
+			orig := slices.Clone(row)
+			var want []matrix.Col
+			for _, c := range row {
+				if mask.has(int(c)) {
+					want = append(want, c)
+				}
+			}
+			if got := mask.cols(row, &buf); !slices.Equal(got, want) {
+				t.Fatalf("trial %d row %d: cols(%v) = %v, want %v", trial, r, row, got, want)
+			}
+			if !slices.Equal(row, orig) {
+				t.Fatalf("trial %d row %d: cols wrote to its row", trial, r)
+			}
+			if len(row) > 0 {
+				if got := colMask(nil).cols(row, &buf); &got[0] != &row[0] || len(got) != len(row) {
+					t.Fatalf("trial %d row %d: a nil mask copied the row", trial, r)
+				}
+			}
+		}
 	}
 }

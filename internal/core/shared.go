@@ -50,7 +50,7 @@ func newTailShare() *tailShare {
 // building them at most once per position. The builder's Stats record
 // the materialized bytes (so a parallel run's summed TailBitmapBytes
 // counts each shared build exactly once).
-func (ts *tailShare) get(rows Rows, pos, mcols int, alive []bool, st *Stats) ([][]matrix.Col, []*bitset.Set) {
+func (ts *tailShare) get(rows Rows, pos, mcols int, alive colMask, st *Stats) ([][]matrix.Col, []*bitset.Set) {
 	if ts == nil {
 		tail, bms, bytes := tailBitmaps(rows, pos, mcols, alive)
 		st.TailBitmapBytes += bytes

@@ -17,7 +17,7 @@ import (
 // restricts which columns act as the pair's smaller member (parallel
 // pipeline); share, when non-nil, is the shared tail-bitmap
 // coordinator.
-func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
+func sim100Scan(rows Rows, mcols int, ones []int, alive, owned colMask, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
 	cnt := make([]int, mcols)
 	cand := make([][]matrix.Col, mcols)
 	hasList := make([]bool, mcols)
@@ -26,6 +26,7 @@ func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 
 	bmMaxRows, bmMinBytes := opts.effectiveBitmap()
 	rowBuf := make([]matrix.Col, 0, 256)
+	var ownBuf []matrix.Col
 	n := rows.Len()
 	for pos := 0; pos < n; pos++ {
 		if pos&interruptStride == 0 {
@@ -40,10 +41,10 @@ func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 			}
 			return
 		}
-		row := filterRow(rows.Row(pos), alive, &rowBuf)
-		for _, cj := range row {
+		row := alive.cols(rows.Row(pos), &rowBuf)
+		for _, cj := range owned.cols(row, &ownBuf) {
 			switch {
-			case released[cj] || (owned != nil && !owned[cj]):
+			case released[cj]:
 			case !hasList[cj]:
 				lst := ar.alloc(len(row))
 				for _, ck := range row {
@@ -87,7 +88,7 @@ func sim100Scan(rows Rows, mcols int, ones []int, alive, owned []bool, opts Opti
 // hand from the scan — upgrades the subset to equality. That turns the
 // phase from two full re-streams of bm(cj) per candidate pair into a
 // single streamed sweep per column.
-func sim100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cnt []int, cand [][]matrix.Col, hasList, released []bool, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
+func sim100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned colMask, cnt []int, cand [][]matrix.Col, hasList, released []bool, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
 	tail, bms := share.get(rows, pos, mcols, alive, st)
 	empty := bitset.New(len(tail))
 	var tc tailCounter
@@ -110,7 +111,7 @@ func sim100Bitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, cn
 	}
 	for cj := 0; cj < mcols; cj++ {
 		if hasList[cj] || released[cj] || ones[cj] == 0 ||
-			(alive != nil && !alive[cj]) || (owned != nil && !owned[cj]) {
+			!alive.has(cj) || !owned.has(cj) {
 			continue
 		}
 		hits := make(map[matrix.Col]int)

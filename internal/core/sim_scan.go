@@ -28,7 +28,7 @@ import (
 // emitted exactly once, including identical pairs (DMC-sim filters
 // those when this runs as its second phase). share, when non-nil, is
 // the parallel pipelines' shared tail-bitmap coordinator.
-func simScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
+func simScan(rows Rows, mcols int, ones []int, alive, owned colMask, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
 	rk := ranker{ones}
 	// colMax(c) is the largest budget any partner of c can offer (the
 	// partner with equal ones); past it the column stops admitting
@@ -60,6 +60,7 @@ func simScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 
 	bmMaxRows, bmMinBytes := opts.effectiveBitmap()
 	rowBuf := make([]matrix.Col, 0, 256)
+	var ownBuf []matrix.Col
 	n := rows.Len()
 	for pos := 0; pos < n; pos++ {
 		if pos&interruptStride == 0 {
@@ -74,10 +75,10 @@ func simScan(rows Rows, mcols int, ones []int, alive, owned []bool, t Threshold,
 			}
 			return
 		}
-		row := filterRow(rows.Row(pos), alive, &rowBuf)
-		for _, cj := range row {
+		row := alive.cols(rows.Row(pos), &rowBuf)
+		for _, cj := range owned.cols(row, &ownBuf) {
 			switch {
-			case released[cj] || (owned != nil && !owned[cj]):
+			case released[cj]:
 			case !hasList[cj]:
 				lst := ar.alloc(len(row))
 				for _, ck := range row {
@@ -246,7 +247,7 @@ func simMergeClosed(lst []candEntry, row []matrix.Col, cj matrix.Col, budget fun
 // one fused sweep instead of deriving hits from a separate miss count),
 // tail hit counting for columns that could still admit candidates; both
 // decide with the exact pair hit floor.
-func simBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, t Threshold, colMax, cnt []int, cand [][]candEntry, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
+func simBitmap(rows Rows, pos, mcols int, ones []int, alive, owned colMask, t Threshold, colMax, cnt []int, cand [][]candEntry, hasList, released []bool, rk ranker, share *tailShare, mem *memMeter, st *Stats, emit func(rules.Similarity)) {
 	tail, bms := share.get(rows, pos, mcols, alive, st)
 	empty := bitset.New(len(tail))
 	var tc tailCounter
@@ -272,7 +273,7 @@ func simBitmap(rows Rows, pos, mcols int, ones []int, alive, owned []bool, t Thr
 
 	for cj := 0; cj < mcols; cj++ {
 		if released[cj] || ones[cj] == 0 || cnt[cj] > colMax[cj] ||
-			(alive != nil && !alive[cj]) || (owned != nil && !owned[cj]) {
+			!alive.has(cj) || !owned.has(cj) {
 			continue
 		}
 		hits := make(map[matrix.Col]int, len(cand[cj]))

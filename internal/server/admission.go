@@ -133,7 +133,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	if a.inUse < a.capacity && a.queue.Len() == 0 {
 		a.inUse++
 		a.mu.Unlock()
-		return a.releaser(), nil
+		return a.releaser(1), nil
 	}
 	// The queue bound and the deadline check both happen under the
 	// lock, before the waiter is enqueued — N racing arrivals cannot
@@ -165,14 +165,14 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	select {
 	case <-w.ready:
 		a.waiters.Add(-1)
-		return a.releaser(), nil
+		return a.releaser(1), nil
 	case <-ctx.Done():
 		a.waiters.Add(-1)
 		if !a.queue.Remove(it) {
 			// Lost the race: a releasing request already granted this
 			// waiter the slot. Pass it on rather than strand it.
 			<-w.ready
-			a.releaser()()
+			a.releaser(1)()
 		}
 		return nil, &shedInfo{
 			status: http.StatusTooManyRequests, reason: shedDeadline,
@@ -180,6 +180,23 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 			msg:        "request deadline expired while queued for a mining slot; retry later",
 		}
 	}
+}
+
+// borrow takes up to k idle slots without waiting, and none while a
+// request queues: it returns how many it took and their releaser. A
+// borrowed slot counts against the limit like an acquired one, so a
+// mine that arrives while it is held queues for it.
+func (a *admission) borrow(k int) (n int, release func()) {
+	if a == nil || k <= 0 {
+		return 0, func() {}
+	}
+	a.mu.Lock()
+	if a.queue.Len() == 0 {
+		n = min(k, a.capacity-a.inUse)
+		a.inUse += n
+	}
+	a.mu.Unlock()
+	return n, a.releaser(n)
 }
 
 // queueDepth reports how many requests are waiting for a slot.
@@ -190,19 +207,21 @@ func (a *admission) queueDepth() int64 {
 	return a.waiters.Load()
 }
 
-// releaser hands the finished request's slot to the most underserved
-// waiter (minimum virtual finish tag — the WFQ pick), or returns it to
-// the pool when nobody waits. Work-conserving by construction: a slot
-// is never idle while the queue is non-empty.
-func (a *admission) releaser() func() {
+// releaser hands each of the n slots a finished request held to the
+// most underserved waiter (minimum virtual finish tag — the WFQ pick),
+// or returns it to the pool when nobody waits. Work-conserving by
+// construction: a slot is never idle while the queue is non-empty.
+func (a *admission) releaser(n int) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			a.mu.Lock()
-			if it := a.queue.Pop(); it != nil {
-				close(it.Value.(*waiter).ready)
-			} else {
-				a.inUse--
+			for ; n > 0; n-- {
+				if it := a.queue.Pop(); it != nil {
+					close(it.Value.(*waiter).ready)
+				} else {
+					a.inUse--
+				}
 			}
 			a.mu.Unlock()
 		})

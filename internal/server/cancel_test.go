@@ -72,8 +72,14 @@ func TestClientDisconnectCancelsMine(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("disconnect never reached the mine's context")
 	}
-	if s.metrics.cancelled.Value() < 1 {
-		t.Fatal("dmc_mines_cancelled_total did not count the abort")
+	// The count lands after the engine returns, which is after the
+	// engine's signal above: wait for it.
+	deadline := time.Now().Add(3 * time.Second)
+	for s.metrics.cancelled.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("dmc_mines_cancelled_total did not count the abort")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,7 +84,9 @@ func freshMine(t *testing.T, body, query string) []byte {
 
 // TestMemoServesBenchKeys: two cycles of the load benchmark's keys on
 // one dataset compute each family's 100% rules once, and every reply is
-// byte-identical to a mine of a freshly added dataset.
+// byte-identical to a mine of a freshly added dataset. On a server with
+// two admission slots, where a mine that names no workers runs two,
+// every reply is byte-identical to its workers=1 reply.
 func TestMemoServesBenchKeys(t *testing.T) {
 	body := memoBaskets(1)
 	s := NewWith(Config{Registry: obs.NewRegistry()})
@@ -110,6 +113,26 @@ func TestMemoServesBenchKeys(t *testing.T) {
 		}
 		if n := phaseCount(s, tc.pipeline, "lt"); n != 2*tc.keys {
 			t.Errorf("%s: phase lt observed %d times, want %d", tc.pipeline, n, 2*tc.keys)
+		}
+	}
+
+	withProcs(t, max(2, runtime.GOMAXPROCS(0)))
+	s2 := NewWith(Config{MaxConcurrentMines: 2, Registry: obs.NewRegistry()})
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts2.Close)
+	doPut(t, ts2.URL, "d", body)
+	for _, q := range benchKeys {
+		one := mineBody(t, ts2.URL, "d", q+"&workers=1")
+		if auto := mineBody(t, ts2.URL, "d", q); !bytes.Equal(auto, one) {
+			t.Fatalf("%s: reply without workers differs from workers=1\n got: %.400s\nwant: %.400s", q, auto, one)
+		}
+	}
+	for _, tc := range []struct {
+		pipeline string
+		keys     uint64
+	}{{"imp-parallel", 8}, {"sim-parallel", 7}} {
+		if n := phaseCount(s2, tc.pipeline, "lt"); n != tc.keys {
+			t.Errorf("%s: phase lt observed %d times, want %d", tc.pipeline, n, tc.keys)
 		}
 	}
 }

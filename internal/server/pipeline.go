@@ -207,7 +207,7 @@ func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run r
 	scan := func(ctx context.Context, hooks *core.Hooks) (st core.Stats, err error) {
 		opts := core.Options{MinSupport: p.minSupport, Hooks: hooks, MemBudgetBytes: s.cfg.MemBudgetBytes, Shard: p.shard, Ctx: ctx}
 		if d.m != nil {
-			mined, st, err = mineMem(s, pl, d, t, opts, p.workers)
+			mined, st, err = mineMem(s, pl, d, t, opts, p)
 		} else {
 			sc.Ctx = ctx
 			mined, st, err = pl.file(d.path, t, opts, sc)
@@ -245,11 +245,14 @@ func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run r
 //   - budget overflow: a *core.BudgetError from the resident pipeline
 //     spills the matrix and re-mines it out of core.
 //
-// Both paths count on dmc_mines_degraded_total.
-func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error) {
-	cfg := s.streamCfg(workers)
+// Both paths count on dmc_mines_degraded_total. The resident mine runs
+// at s.residentWorkers(p), the out-of-core one at p.workers.
+func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, p params) ([]R, core.Stats, error) {
+	cfg := s.streamCfg(p.workers)
 	cfg.Ctx = o.Ctx
 	resident := func() ([]R, core.Stats, error) {
+		workers, done := s.residentWorkers(p)
+		defer done()
 		rs, st, err := pl.resident(d.prep, t, o, workers)
 		return rs, st, s.noteCancelled(err)
 	}

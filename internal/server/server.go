@@ -26,8 +26,12 @@
 //	DEL  /v1/datasets/{name}
 //	POST /v1/datasets/{name}/rows      body: basket lines appended to a
 //	                                   resident dataset (incremental growth)
-//	GET  /v1/datasets/{name}/implications?threshold=85&minsupport=0&limit=100&workers=1
-//	GET  /v1/datasets/{name}/similarities?threshold=70&minsupport=0&limit=100&workers=1
+//	GET  /v1/datasets/{name}/implications?threshold=85&minsupport=0&limit=100
+//	GET  /v1/datasets/{name}/similarities?threshold=70&minsupport=0&limit=100
+//	                                   workers=N (0 = one per CPU) fans the
+//	                                   scan out; without it a resident scan
+//	                                   takes its slot plus one idle slot
+//	                                   if there is one, any other scan 1
 //	GET  /v1/datasets/{name}/expand?keyword=polgar&threshold=85&depth=-1
 package server
 
@@ -43,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -831,12 +836,13 @@ func (s *Server) runMine(w http.ResponseWriter, r *http.Request) runner {
 		}
 		ch := make(chan result, 1)
 		go func() {
-			defer func() {
-				s.metrics.inflight.Dec()
-				s.adm.observe(time.Since(start))
-				release()
-			}()
 			st, err := mine(ctx, s.hooks)
+			// Free the slot before the result reaches the handler, so
+			// a client's next mine, sent once this reply arrives, finds
+			// it idle (residentWorkers borrows idle slots).
+			s.metrics.inflight.Dec()
+			s.adm.observe(time.Since(start))
+			release()
 			ch <- result{st, err}
 		}()
 		select {
@@ -906,6 +912,29 @@ func (s *Server) scratchDir() string {
 		return s.st.ScratchDir()
 	}
 	return ""
+}
+
+// autoWidth is the widest resident scan a request that names no
+// workers gets. Each worker walks every row, so a worker past the
+// first buys less than one whole CPU; two is the only width measured
+// (EXPERIMENTS.md, "Resident mines take the idle CPU").
+const autoWidth = 2
+
+// residentWorkers is the worker count of p's resident scan, and done
+// ends it. A request that named workers gets them. One that did not
+// runs a worker on its own admission slot plus one on each idle slot
+// it borrows (admission.borrow), up to autoWidth and GOMAXPROCS; until
+// done gives them back, a mine that arrives queues for those slots
+// instead of running beside the scan. Without a limiter there is no
+// slot to borrow, and with MemBudgetBytes set every worker would get
+// only a share of the budget (core.Options.MemBudgetBytes), so both
+// stay at one worker.
+func (s *Server) residentWorkers(p params) (workers int, done func()) {
+	if !p.autoWorkers || s.cfg.MemBudgetBytes > 0 {
+		return p.workers, func() {}
+	}
+	n, done := s.adm.borrow(min(autoWidth, runtime.GOMAXPROCS(0)) - 1)
+	return 1 + n, done
 }
 
 // streamCfg is the out-of-core engine configuration for one mine; the
@@ -1029,7 +1058,11 @@ type params struct {
 	minSupport int
 	limit      int
 	workers    int
-	fleet      bool
+	// autoWorkers is set when the request named no workers: its
+	// resident scan then sizes itself (residentWorkers), and every
+	// other scan uses workers, which is 1.
+	autoWorkers bool
+	fleet       bool
 	// shard is set only by the fleet shard handler: it restricts rule
 	// ownership to a column range and — via paramsKey — keys the cache
 	// so a partial result can never alias a full-mine entry.
@@ -1061,6 +1094,7 @@ func mineParams(r *http.Request) (params, error) {
 	if p.limit <= 0 {
 		return p, fmt.Errorf("limit must be positive")
 	}
+	p.autoWorkers = r.URL.Query().Get("workers") == ""
 	if p.workers, err = intParam(r, "workers", 1); err != nil {
 		return p, err
 	}
@@ -1144,19 +1178,21 @@ func writeStoreErr(w http.ResponseWriter, r *http.Request, what string, err erro
 // LoadStore registers every dataset in Config.Store's recovered
 // catalog: blobs at or above Config.StreamMinBytes stay on disk and
 // mine through the out-of-core engine; the rest load into memory with
-// their labels. Call after Open has replayed the journal and before
+// their labels. Each bills its stored size to the default tenant, as
+// its PUT did. Call after Open has replayed the journal and before
 // SetReady(true).
 func (s *Server) LoadStore() error {
 	if s.st == nil {
 		return nil
 	}
-	for _, e := range s.st.List() {
+	entries := s.st.List()
+	for _, e := range entries {
 		if s.cfg.StreamMinBytes > 0 && e.Size >= s.cfg.StreamMinBytes {
 			d, err := fileDataset(e.Name, e.Path)
 			if err != nil {
 				return fmt.Errorf("registering stored dataset %q as streamed: %w", e.Name, err)
 			}
-			d.info.Durable, d.hash = true, e.Hash
+			d.info.Durable, d.hash, d.bytes = true, e.Hash, e.Size
 			s.add(e.Name, d)
 			continue
 		}
@@ -1166,7 +1202,10 @@ func (s *Server) LoadStore() error {
 		}
 		inf := info(e.Name, m)
 		inf.Durable = true
-		s.add(e.Name, &dataset{m: m, info: inf, hash: e.Hash})
+		s.add(e.Name, &dataset{m: m, info: inf, hash: e.Hash, bytes: e.Size})
+	}
+	if len(entries) > 0 {
+		s.noteTenantUsage(defaultTenant)
 	}
 	return nil
 }

@@ -94,6 +94,54 @@ func TestPutPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestLoadStoreBillsRecoveredBytes: datasets recovered from the store
+// bill their stored bytes to the default tenant, resident and streamed
+// alike, so the dmc_tenant_bytes gauge reads as before the restart and
+// TenantQuota.MaxBytes still refuses a PUT past the quota.
+func TestLoadStoreBillsRecoveredBytes(t *testing.T) {
+	const body = "bread butter jam\nbread butter\nbread butter coffee\n"
+	m := mustParseBaskets(t, body)
+	est := residentFootprint(m.NumOnes(), m.NumCols())
+	for _, streamMin := range []int64{0, 1} {
+		dir := t.TempDir()
+		st := openTestStore(t, dir, store.Options{})
+		s := NewWith(Config{Store: st, StreamMinBytes: streamMin, Registry: obs.NewRegistry()})
+		ts := httptest.NewServer(s.Handler())
+		for _, name := range []string{"a", "b"} {
+			if resp := doPut(t, ts.URL, name, body); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("PUT %s: status %d", name, resp.StatusCode)
+			}
+		}
+		n, used := s.tenantUsage(defaultTenant)
+		gauge := s.metrics.tenantBytes.With(defaultTenant).Value()
+		if n != 2 || used <= 0 || gauge != used {
+			t.Fatalf("stream-min %d, before restart: %d datasets, %d bytes, gauge %d", streamMin, n, used, gauge)
+		}
+		ts.Close()
+		st.Close()
+
+		// Restart with a quota the recovered bytes leave no room in: one
+		// more dataset fits only if they bill nothing.
+		st2 := openTestStore(t, dir, store.Options{})
+		s2 := NewWith(Config{Store: st2, StreamMinBytes: streamMin, Registry: obs.NewRegistry(),
+			TenantQuota: TenantQuota{MaxBytes: used + est - 1}})
+		if err := s2.LoadStore(); err != nil {
+			t.Fatal(err)
+		}
+		if n2, used2 := s2.tenantUsage(defaultTenant); n2 != n || used2 != used {
+			t.Fatalf("stream-min %d, after restart: %d datasets, %d bytes; want %d, %d", streamMin, n2, used2, n, used)
+		}
+		if g := s2.metrics.tenantBytes.With(defaultTenant).Value(); g != gauge {
+			t.Fatalf("stream-min %d: dmc_tenant_bytes = %d after restart, want %d", streamMin, g, gauge)
+		}
+		ts2 := httptest.NewServer(s2.Handler())
+		if resp := doPut(t, ts2.URL, "c", body); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("stream-min %d: PUT past the byte quota: status %d, want 429", streamMin, resp.StatusCode)
+		}
+		ts2.Close()
+	}
+}
+
 // TestLoadStoreStreamsBigBlobs: catalog entries at or above
 // StreamMinBytes come back file-backed (streamed from the blob), not
 // resident.
@@ -242,7 +290,7 @@ func TestBudgetErrorSurvivesFailedSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustParseBaskets(t, "a b\na b\n")
-	_, _, err := mineMem(s, &s.imps, &dataset{m: m, info: info("d", m)}, core.FromPercent(80), core.Options{}, 1)
+	_, _, err := mineMem(s, &s.imps, &dataset{m: m, info: info("d", m)}, core.FromPercent(80), core.Options{}, params{workers: 1})
 	if err == nil {
 		t.Fatal("failed spill reported success")
 	}
@@ -299,7 +347,7 @@ func TestStoreScratchRoutesSpills(t *testing.T) {
 	m := mustParseBaskets(t, "a b\na b\n")
 	s.Add("d", m)
 	d, _ := s.get("d")
-	rs, _, err := mineMem(s, &s.imps, d, core.FromPercent(80), core.Options{}, 1)
+	rs, _, err := mineMem(s, &s.imps, d, core.FromPercent(80), core.Options{}, params{workers: 1})
 	if err != nil || len(rs) == 0 {
 		t.Fatalf("degraded mine: %d rules, err %v", len(rs), err)
 	}
