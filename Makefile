@@ -36,13 +36,14 @@ test:
 # per-dataset mining memo (concurrent first mines racing to fill it),
 # and the serving ladder (jobs and HTTP mines racing on one key, a scan
 # abandoned at its deadline, a streamed PUT publishing its dataset, a
-# mine borrowing an idle admission slot for a second worker) repeated
-# ten times.
+# mine borrowing an idle admission slot for a second worker, mines
+# sharing a kept partition while their neighbours are cancelled and the
+# dataset is deleted and re-added) repeated ten times.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource|Prepared|ColMask' ./internal/core
 	$(GO) test -race -count=10 -run 'ParityAcrossWorkers|ConcurrentPass|FaultMatrixCancel' ./internal/stream
-	$(GO) test -race -count=10 -run 'StreamedPut|LadderConcurrent|LadderAbandoned|AutoWorkers' ./internal/server
+	$(GO) test -race -count=10 -run 'StreamedPut|LadderConcurrent|LadderAbandoned|AutoWorkers|KeptConcurrent' ./internal/server
 
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
@@ -67,9 +68,10 @@ bench-compare:
 # The robustness acceptance matrix under the race detector:
 # deterministic fault injection (failed/short reads, torn writes,
 # ENOSPC, CRC corruption) at 1, 2 and 8 workers over the CRC-framed
-# spill codec, mid-pass cancellation, checkpoint/resume, and the
-# SIGKILL + -resume smoke — every cell must end in exact rules or a
-# typed error.
+# spill codec, mid-pass cancellation, checkpoint/resume (an input
+# replaced mid-partition included), a server's kept partition damaged
+# between mines or built on a full disk, and the SIGKILL + -resume
+# smoke — every cell must end in exact rules or a typed error.
 fault-matrix:
 	$(GO) test -race -run 'Fault|Cancel|Corrupt|Checkpoint|Budget|Retry|Injector' ./internal/fault ./internal/stream ./internal/core ./internal/server .
 	$(GO) test -race -run 'KillResume' ./cmd/dmcmine

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -138,7 +139,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 	}
 	phase := func(phase100 bool, scan scanFunc[R], emit func(R)) {
 		t0 := time.Now()
-		ws := runPhase(src, owned, opts.SampleMemory, scan, emit)
+		ws := runPhase(opts.Ctx, src, owned, opts.SampleMemory, scan, emit)
 		d := time.Since(t0)
 		collect(&st, ws, phase100)
 		name, pos := "lt", st.SwitchPosLT
@@ -219,9 +220,11 @@ type worker[R any] struct {
 	out []R // rules held for the coordinator (several workers only)
 }
 
-// runPhase runs scan over one fresh pass of src per ownership mask.
+// runPhase runs scan over one fresh pass of src per ownership mask,
+// started under ctx when src is a ContextSource. Every view is released
+// before runPhase returns or panics.
 //
-// A lone worker scans src.Pass() on the calling goroutine, emitting as
+// A lone worker scans its pass on the calling goroutine, emitting as
 // it goes and building any DMC-bitmap tail privately; a pass failure
 // panics straight through. It alone records the Options.SampleMemory
 // series.
@@ -234,18 +237,20 @@ type worker[R any] struct {
 // stopped, so a failed parallel mine follows the same protocol as a
 // serial one instead of crashing the process from a worker goroutine,
 // where no caller could recover it.
-func runPhase[R any](src Source, owned []colMask, sample bool, scan scanFunc[R], emit func(R)) []worker[R] {
+func runPhase[R any](ctx context.Context, src Source, owned []colMask, sample bool, scan scanFunc[R], emit func(R)) []worker[R] {
 	ws := make([]worker[R], len(owned))
 	for i := range ws {
 		ws[i].st.SwitchPos100, ws[i].st.SwitchPosLT = -1, -1
 	}
 	if len(ws) == 1 {
 		ws[0].mem.sample = sample
-		scan(src.Pass(), owned[0], nil, &ws[0].mem, &ws[0].st, emit)
+		rows := pass(ctx, src)
+		defer releaseRows(rows)
+		scan(rows, owned[0], nil, &ws[0].mem, &ws[0].st, emit)
 		return ws
 	}
 	share := newTailShare()
-	views := src.(ConcurrentSource).ConcurrentPass(len(ws))
+	views := concurrentPass(ctx, src, len(ws))
 	errs := make([]error, len(ws))
 	var wg sync.WaitGroup
 	for i := range ws {
@@ -271,6 +276,24 @@ func runPhase[R any](src Source, owned []colMask, sample bool, scan scanFunc[R],
 		}
 	}
 	return ws
+}
+
+// pass starts one pass of src for a lone worker, under ctx when src is
+// a ContextSource.
+func pass(ctx context.Context, src Source) Rows {
+	if cs, ok := src.(ContextSource); ok {
+		return cs.PassContext(ctx, 1)[0]
+	}
+	return src.Pass()
+}
+
+// concurrentPass starts one pass of src for n workers, under ctx when
+// src is a ContextSource.
+func concurrentPass(ctx context.Context, src Source, n int) []Rows {
+	if cs, ok := src.(ContextSource); ok {
+		return cs.PassContext(ctx, n)
+	}
+	return src.(ConcurrentSource).ConcurrentPass(n)
 }
 
 // collect folds one phase's workers into st. TailBitmapBytes sums to

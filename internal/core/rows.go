@@ -1,6 +1,10 @@
 package core
 
-import "dmc/internal/matrix"
+import (
+	"context"
+
+	"dmc/internal/matrix"
+)
 
 // Rows is one sequential pass over the data: Row(i) must be called with
 // i increasing from 0 to Len()-1. Implementations may reuse the
@@ -35,6 +39,17 @@ type Source interface {
 type ConcurrentSource interface {
 	Source
 	ConcurrentPass(n int) []Rows
+}
+
+// ContextSource is a ConcurrentSource whose passes observe a context
+// and hold resources until released. The mine driver starts every pass
+// of one with PassContext and the mine's own Options.Ctx, and releases
+// every view before the mine returns, so a source several mines share
+// (a kept stream partition) tears a pass down for its own mine's
+// cancellation only and is left with no pass running once they end.
+type ContextSource interface {
+	ConcurrentSource
+	PassContext(ctx context.Context, n int) []Rows
 }
 
 // SourceError is the panic protocol for pass failures: a Rows

@@ -217,9 +217,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
+	gone := s.datasets[name]
 	delete(s.datasets, name)
 	s.metrics.datasets.Set(int64(len(s.datasets)))
 	s.mu.Unlock()
+	if gone != nil {
+		s.kept.close(gone.slot)
+	}
 	s.noteTenantUsage(tenant)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"sort"
@@ -23,11 +24,14 @@ import (
 type pipeline[R, W any] struct {
 	// name is the family's metrics label, cache family and job pipeline.
 	name string
-	// resident mines an in-memory dataset through its memo with the §7
+	// resident mines a dataset through its memo with the §7
 	// column-partitioned engine (workers 1 = the serial scan, 0 = one
-	// worker per CPU). Cancellation and budget overflow (SourceError
-	// panics) surface as errors via core.CapturePass. file streams a
-	// file-backed dataset from disk through the out-of-core engine.
+	// worker per CPU): an in-memory one, or a file-backed one over its
+	// kept partition. Cancellation, budget overflow and broken replays
+	// (SourceError panics) surface as errors via core.CapturePass. file
+	// partitions a matrix file and streams it through the out-of-core
+	// engine: budget degrades, jobs' checkpoints, and mines whose
+	// dataset registration has ended.
 	resident func(p *core.Prepared, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
 	file     func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]R, core.Stats, error)
 	fleet    func(c *fleet.Coordinator, ctx context.Context, ds fleet.DatasetRef, p fleet.Params) ([]R, fleet.Stats, error)
@@ -177,10 +181,10 @@ type runner func(label string, mine func(ctx context.Context, hooks *core.Hooks)
 // expansions, fleet shard tasks and async jobs. It tries the result
 // cache, then a derivation from d's resumable snapshot, then a scan
 // under run: a fleet scatter for p.fleet, otherwise a local mine, where
-// a file-backed dataset streams through pl.file with sc and a resident
-// one takes mineMem. It caches what it computed and returns the rules
-// and the rung that served them: "cache", "incremental", "fleet", or
-// "" for a local scan. ok is false when the scan failed.
+// a file-backed dataset takes mineFile with sc and a resident one
+// takes mineMem. It caches what it computed and returns the rules and
+// the rung that served them: "cache", "incremental", "fleet", or "" for
+// a local scan. ok is false when the scan failed.
 //
 // The cache and snapshot rungs take no admission slot and start no
 // goroutine. Shard tasks skip the snapshot: a derivation ignores
@@ -210,7 +214,7 @@ func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run r
 			mined, st, err = mineMem(s, pl, d, t, opts, p)
 		} else {
 			sc.Ctx = ctx
-			mined, st, err = pl.file(d.path, t, opts, sc)
+			mined, st, err = mineFile(s, pl, d, t, opts, sc)
 		}
 		return st, err
 	}
@@ -266,6 +270,36 @@ func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Thresho
 		s.metrics.degraded.Inc()
 		return pl.file(path, t, o, cfg)
 	})
+}
+
+// mineFile mines a file-backed dataset at sc.Workers. A job's mine
+// (sc.CheckpointDir set) partitions into its checkpoint through pl.file,
+// and so does a mine whose registration has ended. Every other mine
+// replays d's kept partition through its memo with pl.resident, the
+// engine of a resident dataset. A replay that breaks — a segment gone,
+// or a frame failing its CRC on every re-read — retires the partition,
+// and the mine runs once more over a fresh one.
+func mineFile[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, sc stream.Config) ([]R, core.Stats, error) {
+	if sc.CheckpointDir != "" {
+		return pl.file(d.path, t, o, sc)
+	}
+	for retried := false; ; retried = true {
+		k, err := s.kept.acquire(o.Ctx, d, sc)
+		if errors.Is(err, errSlotClosed) {
+			return pl.file(d.path, t, o, sc)
+		}
+		if err != nil {
+			return nil, core.Stats{}, s.noteCancelled(err)
+		}
+		rs, st, err := pl.resident(k.prep, t, o, sc.Workers)
+		s.kept.release(k)
+		var pe *stream.PassError
+		if !retried && errors.As(err, &pe) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			s.kept.retire(d.slot, k)
+			continue
+		}
+		return rs, st, s.noteCancelled(err)
+	}
 }
 
 // cachedRules returns the cached rule set for (d, p), if any.

@@ -276,6 +276,9 @@ type dataset struct {
 	// change to the data builds a new dataset, so it never goes stale.
 	prep *core.Prepared
 	path string
+	// slot holds a file-backed dataset's kept partition; add opens it
+	// and the registration's end closes it.
+	slot *partSlot
 	hash string
 	info DatasetInfo
 	// tenant is the owning namespace; "" means the default tenant
@@ -312,6 +315,7 @@ type Server struct {
 	st      *store.Store  // nil = memory-only serving
 	rc      *cache.Cache  // nil = no result caching
 	jm      *jobs.Manager // nil = async jobs not enabled
+	kept    *keptSet      // file-backed datasets' kept partitions
 
 	// appendMu serializes POST rows requests: an append reads the
 	// current registration, grows it, and swaps it, and two interleaved
@@ -346,6 +350,7 @@ func NewWith(cfg Config) *Server {
 		sims:     simPipeline,
 	}
 	s.adm = newAdmission(cfg.MaxConcurrentMines, cfg.MaxQueueDepth, cfg.TenantWeights)
+	s.kept = newKeptSet(cfg.registry())
 	s.st = cfg.Store
 	s.rc = cfg.Cache
 	// Library users get a ready server out of the box; binaries that
@@ -422,11 +427,17 @@ func fileDataset(name, path string) (*dataset, error) {
 func (s *Server) add(name string, d *dataset) {
 	if d.m != nil {
 		d.prep = core.Prepare(d.m)
+	} else {
+		d.slot = s.kept.open()
 	}
 	s.mu.Lock()
+	old := s.datasets[name]
 	s.datasets[name] = d
 	s.metrics.datasets.Set(int64(len(s.datasets)))
 	s.mu.Unlock()
+	if old != nil {
+		s.kept.close(old.slot)
+	}
 }
 
 // get returns the named dataset.
@@ -618,8 +629,10 @@ func endpointLabel(r *http.Request) string {
 // immediately, the listener stays open for Config.DrainDelay so load
 // balancers notice, then it closes and in-flight requests get up to
 // Config.ShutdownGrace to finish. Returns nil on a clean drained
-// shutdown.
+// shutdown. Either way the file-backed datasets' kept partitions are
+// removed, each once no mine replays it.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
+	defer s.kept.closeAll()
 	srv := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

@@ -214,8 +214,10 @@ func TestAutoWorkersExplicit(t *testing.T) {
 }
 
 // TestAutoWorkersStreamedScans: file-backed datasets and brownout
-// degrades stream at one worker when the request names none; the
-// resident engine never runs.
+// degrades stream at one worker when the request names none. A
+// file-backed mine replays its kept partition through the Prepared
+// engine; a brownout streams through the file engine, and the resident
+// engine never runs for it.
 func TestAutoWorkersStreamedScans(t *testing.T) {
 	withProcs(t, 4)
 	s, ts, resident := autoServer(t, Config{MaxConcurrentMines: 4, BrownoutBytes: 1})
@@ -232,7 +234,8 @@ func TestAutoWorkersStreamedScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	getJSON(t, ts.URL+"/v1/datasets/f/implications?threshold=60", http.StatusOK, nil)
-	streamed.only(t, "file-backed", 1)
+	resident.only(t, "file-backed", 1)
+	streamed.none(t, "file-backed")
 
 	s.resident.Store(1 << 20) // another resident mine holds the ledger
 	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=60", http.StatusOK, nil)

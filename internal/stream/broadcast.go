@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -37,20 +38,27 @@ import (
 var errPassClosed = errors.New("partition closed mid-pass")
 
 // Pass starts a fresh prefetching pass over all rows, sparsest bucket
-// first. An I/O error mid-pass panics with a *PassError (the core
-// engines have no error channel), which the Mine entry points recover
-// into an ordinary error.
+// first, under the partition's Config.Ctx. An I/O error mid-pass panics
+// with a *PassError (the core engines have no error channel), which the
+// Mine entry points recover into an ordinary error.
 func (p *Partitioned) Pass() core.Rows { return p.ConcurrentPass(1)[0] }
 
-// ConcurrentPass implements core.ConcurrentSource: one disk read of
-// the pass, broadcast to n independently-consumable views. Each view
-// obeys the sequential core.Rows contract on its own goroutine.
-func (p *Partitioned) ConcurrentPass(n int) []core.Rows {
+// ConcurrentPass implements core.ConcurrentSource: PassContext under
+// the partition's Config.Ctx.
+func (p *Partitioned) ConcurrentPass(n int) []core.Rows { return p.PassContext(p.cfg.Ctx, n) }
+
+// PassContext implements core.ContextSource: one disk read of the pass,
+// broadcast to n independently-consumable views, which ctx (nil = none)
+// cancels and whose retries it bounds. Each view obeys the sequential
+// core.Rows contract on its own goroutine. The reader stops once every
+// view is released, so mines that share the partition each end their
+// own passes and no other mine's.
+func (p *Partitioned) PassContext(ctx context.Context, n int) []core.Rows {
 	if n < 1 {
 		n = 1
 	}
 	metricPasses.Inc()
-	r := &passReader{p: p, stop: make(chan struct{}), done: make(chan struct{})}
+	r := &passReader{p: p, ctx: ctx, stop: make(chan struct{}), done: make(chan struct{})}
 	r.pool.New = func() any { return new(matrix.RowBlock) }
 	rows := make([]core.Rows, n)
 	r.views = make([]*view, n)
@@ -72,7 +80,7 @@ func (p *Partitioned) ConcurrentPass(n int) []core.Rows {
 	p.readers[r] = struct{}{}
 	p.mu.Unlock()
 	go r.run()
-	if ctx := p.cfg.Ctx; ctx != nil {
+	if ctx != nil {
 		// Context watcher: a cancelled mine cancels the pass with the
 		// context's own error, so consumers see context.Canceled (not a
 		// generic closed-pass error) and the reader tears down promptly.
@@ -104,6 +112,7 @@ func (sb *sharedBlock) release(pool *sync.Pool) {
 // and the fan-out.
 type passReader struct {
 	p        *Partitioned
+	ctx      context.Context // the mine's; nil = never cancelled
 	views    []*view
 	pool     sync.Pool // *matrix.RowBlock
 	stop     chan struct{}
@@ -205,7 +214,7 @@ func (r *passReader) readBucket(b bucket) (int, error) {
 			return delivered, err
 		}
 		fault.RecordRetry("retried")
-		if serr := r.p.cfg.Retry.Sleep(r.p.cfg.Ctx, attempt); serr != nil {
+		if serr := r.p.cfg.Retry.Sleep(r.ctx, attempt); serr != nil {
 			return delivered, serr
 		}
 	}
@@ -226,7 +235,7 @@ func (r *passReader) readSegment(b bucket, skip int64) (int, int64, error) {
 		f.Close()
 		r.p.openFDs.Add(-1)
 	}()
-	br := bufio.NewReaderSize(fault.NewRetryReader(r.p.cfg.Ctx, f, r.p.cfg.Retry), readBufBytes)
+	br := bufio.NewReaderSize(fault.NewRetryReader(r.ctx, f, r.p.cfg.Retry), readBufBytes)
 	brd, err := matrix.NewBlockReader(br, r.p.cols)
 	if err != nil {
 		return 0, 0, r.locate(b, -1, err)
@@ -258,8 +267,8 @@ func (r *passReader) readSegment(b bucket, skip int64) (int, int64, error) {
 		metricFrames.Inc()
 		delivered += blk.Len()
 		frames++
-		if !r.deliver(blk) {
-			return delivered, frames, r.causeErr()
+		if err := r.deliver(blk); err != nil {
+			return delivered, frames, err
 		}
 	}
 }
@@ -275,11 +284,13 @@ func (r *passReader) locate(b bucket, frame int64, err error) error {
 	return &PassError{Bucket: b.bkt, Segment: filepath.Base(b.path), Frame: frame, Err: err}
 }
 
-// deliver broadcasts one block to every still-attached view. Returns
-// false when the pass was cancelled under it.
-func (r *passReader) deliver(blk *matrix.RowBlock) bool {
+// deliver broadcasts one block to every still-attached view. It fails
+// with the cancel cause when the pass was cancelled under it, and with
+// errPassClosed when no view is left to read it.
+func (r *passReader) deliver(blk *matrix.RowBlock) error {
 	sb := &sharedBlock{blk: blk}
 	sb.refs.Store(int32(len(r.views)))
+	attached := false
 	for _, v := range r.views {
 		select {
 		case <-v.done:
@@ -290,14 +301,18 @@ func (r *passReader) deliver(blk *matrix.RowBlock) bool {
 		select {
 		case v.ch <- sb:
 			metricBroadcastDepth.Inc()
+			attached = true
 		case <-v.done:
 			sb.release(&r.pool)
 		case <-r.stop:
 			sb.release(&r.pool)
-			return false
+			return r.causeErr()
 		}
 	}
-	return true
+	if !attached {
+		return errPassClosed
+	}
+	return nil
 }
 
 // view is one consumer's cursor over a broadcast pass. It implements

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"dmc/internal/obs"
 )
@@ -84,24 +85,54 @@ func clearCheckpoint(dir string) error {
 	return nil
 }
 
+// Identity is what is known of an input file without reading it: the
+// file (device and inode), its size and its modification time. A
+// partition is only as current as the identity its input had before
+// the partition read it, so a checkpoint, and a server's kept
+// partition, capture it first and compare it again later.
+type Identity struct {
+	fi os.FileInfo
+}
+
+// Identify stats the file at path.
+func Identify(path string) (Identity, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return Identity{}, err
+	}
+	return Identity{fi}, nil
+}
+
+// Same reports whether a and b are the same file at the same size and
+// modification time. A rewrite that keeps all three (same size, same
+// timestamp tick) is invisible to it; callers that reuse a partition
+// guard against that by the age of ModTime.
+func (a Identity) Same(b Identity) bool {
+	return a.fi != nil && b.fi != nil && os.SameFile(a.fi, b.fi) &&
+		a.fi.Size() == b.fi.Size() && a.fi.ModTime().Equal(b.fi.ModTime())
+}
+
+// Size is the file's size in bytes.
+func (a Identity) Size() int64 { return a.fi.Size() }
+
+// ModTime is the file's modification time.
+func (a Identity) ModTime() time.Time { return a.fi.ModTime() }
+
 // writeManifest commits the checkpoint: it records the input identity
-// and the committed segment list, via the same tmp+fsync+rename dance
-// as the segments, strictly after all of them. Runs through cfg.fs()
-// so the fault matrix can kill the commit itself.
-func writeManifest(input string, p *Partitioned) error {
+// id, captured before the partition read the input, and the committed
+// segment list, via the same tmp+fsync+rename dance as the segments,
+// strictly after all of them. Runs through cfg.fs() so the fault matrix
+// can kill the commit itself.
+func writeManifest(input string, id Identity, p *Partitioned) error {
 	abs, err := filepath.Abs(input)
 	if err != nil {
 		abs = input
 	}
-	fi, err := os.Stat(input)
-	if err != nil {
-		return fmt.Errorf("stream: checkpoint: stat input: %w", err)
-	}
 	m := manifest{
 		Version:      manifestVersion,
 		Input:        abs,
-		InputSize:    fi.Size(),
-		InputModTime: fi.ModTime().UnixNano(),
+		InputSize:    id.Size(),
+		InputModTime: id.ModTime().UnixNano(),
 		Cols:         p.cols,
 		Rows:         p.rows,
 		Ones:         p.ones,
@@ -197,6 +228,7 @@ func tryResume(input string, cfg Config) (*Partitioned, error) {
 				s.File, sfi.Size(), s.Size)
 		}
 		p.buckets = append(p.buckets, bucket{bkt: s.Bucket, path: path, rows: s.Rows})
+		p.bytes += s.Size
 		rowSum += s.Rows
 	}
 	if rowSum != m.Rows {

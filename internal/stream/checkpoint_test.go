@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -285,5 +287,82 @@ func TestCheckpointV1ManifestRepartitions(t *testing.T) {
 	}
 	if n := metricCheckpointWrites.Value() - commits; n != 1 {
 		t.Fatalf("version-1 manifest: %d manifest commits, want 1", n)
+	}
+}
+
+// renameOnCreate is a spill FS that, at its first Create, renames from
+// over to: a file replaced under its path while the partition reads it.
+type renameOnCreate struct {
+	fault.FS
+	from, to string
+	once     sync.Once
+	err      error
+}
+
+func (f *renameOnCreate) Create(name string) (fault.File, error) {
+	f.once.Do(func() { f.err = os.Rename(f.from, f.to) })
+	return f.FS.Create(name)
+}
+
+// TestCheckpointInputReplacedMidPartition: a file renamed over the
+// input while the partition reads it (same size, same mtime, another
+// inode) must not get the old content's segments committed under its
+// identity; the resume partitions the new content again.
+func TestCheckpointInputReplacedMidPartition(t *testing.T) {
+	m1 := streamRandomMatrix(26, 300, 24)
+	rows := make([][]matrix.Col, m1.NumRows())
+	for i := range rows {
+		for _, c := range m1.Row(i) {
+			rows[i] = append(rows[i], c^1) // same digit count: same text size
+		}
+		slices.Sort(rows[i])
+	}
+	m2 := matrix.FromRows(m1.NumCols(), rows)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m"+matrix.ExtText)
+	next := filepath.Join(dir, "next"+matrix.ExtText)
+	for _, f := range []struct {
+		path string
+		m    *matrix.Matrix
+	}{{path, m1}, {next, m2}} {
+		if err := matrix.Save(f.path, f.m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	for _, p := range []string{path, next} {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := Identify(path)
+	b, _ := Identify(next)
+	if a.Size() != b.Size() || !a.ModTime().Equal(b.ModTime()) {
+		t.Fatalf("replacement differs in size or mtime: %d/%v vs %d/%v", a.Size(), a.ModTime(), b.Size(), b.ModTime())
+	}
+
+	ckpt := t.TempDir()
+	hook := &renameOnCreate{FS: fault.OS, from: next, to: path}
+	got, _, err := MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, Config{CheckpointDir: ckpt, FS: hook})
+	if err != nil || hook.err != nil {
+		t.Fatalf("mine over the replaced input: %v (rename: %v)", err, hook.err)
+	}
+	want1, _ := core.DMCImp(m1, core.FromPercent(75), core.Options{})
+	if d := rules.DiffImplications(got, want1); d != "" {
+		t.Fatalf("the run did not mine what it read:\n%s", d)
+	}
+
+	resumed := false
+	cfg := Config{CheckpointDir: ckpt, Resume: true, OnResume: func() { resumed = true }}
+	got, _, err = MineImplicationsCfg(path, core.FromPercent(75), core.Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed {
+		t.Fatal("resume trusted segments of the replaced file")
+	}
+	want2, _ := core.DMCImp(m2, core.FromPercent(75), core.Options{})
+	if d := rules.DiffImplications(got, want2); d != "" {
+		t.Fatalf("resume mined stale segments:\n%s", d)
 	}
 }

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -208,5 +211,118 @@ func TestStreamCounters(t *testing.T) {
 	// passes; only a view abandoned without Release can strand one).
 	if d := metricBroadcastDepth.Value() - depth0; d != 0 {
 		t.Fatalf("broadcast depth delta = %v after mining, want 0", d)
+	}
+}
+
+// TestPreparedParityAcrossWorkers: a core.PrepareSource memo over a
+// partition serves every threshold, both families and the requests the
+// memo does not serve (min support) with the in-memory miner's rule set,
+// at one and two workers, as its slots fill and as they are read.
+func TestPreparedParityAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	base := randomMatrix(rng, 300, 30)
+	rows := make([][]matrix.Col, base.NumRows())
+	for i := range rows {
+		rows[i] = append([]matrix.Col(nil), base.Row(i)...)
+		for j, c := range []matrix.Col{3, 9} {
+			// A twin of column 3 and a part of column 9: 100% rules
+			// for both families.
+			if slices.Contains(base.Row(i), c) && (j == 0 || rng.Intn(3) > 0) {
+				rows[i] = append(rows[i], matrix.Col(30+j))
+			}
+		}
+	}
+	m := matrix.FromRows(32, rows)
+	path := writeTemp(t, m, matrix.ExtBinary)
+	for _, w := range []int{1, 2} {
+		p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), Workers: w, frameRows: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep := core.PrepareSource(p, p.Ones())
+		for _, pct := range []int{100, 80, 60, 90, 100} {
+			for _, o := range []core.Options{{}, {MinSupport: 3}} {
+				th := core.FromPercent(pct)
+				var gotImp []rules.Implication
+				var gotSim []rules.Similarity
+				if err := core.CapturePass(func() {
+					gotImp, _ = prep.Implications(th, o, w)
+					gotSim, _ = prep.Similarities(th, o, w)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				wantImp, _ := core.DMCImp(m, th, o)
+				wantSim, _ := core.DMCSim(m, th, o)
+				if d := rules.DiffImplications(gotImp, wantImp); d != "" {
+					t.Fatalf("w%d %d%% minsupport %d: imp mismatch:\n%s", w, pct, o.MinSupport, d)
+				}
+				if d := rules.DiffSimilarities(gotSim, wantSim); d != "" {
+					t.Fatalf("w%d %d%% minsupport %d: sim mismatch:\n%s", w, pct, o.MinSupport, d)
+				}
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentPassOwnContexts: passes started with PassContext each
+// observe their own context, never the one the partition was built
+// under: a partition whose builder's context is done still replays, and
+// cancelling one pass leaves a concurrent pass over the same segments
+// intact.
+func TestConcurrentPassOwnContexts(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	m := randomMatrix(rng, 400, 24)
+	path := writeTemp(t, m, matrix.ExtBinary)
+	built, cancelBuild := context.WithCancel(context.Background())
+	p, err := PartitionWith(path, Config{TmpDir: t.TempDir(), Ctx: built, frameRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cancelBuild()
+
+	var want []string
+	serial := p.PassContext(context.Background(), 1)[0]
+	for i := 0; i < serial.Len(); i++ {
+		want = append(want, key(serial.Row(i)))
+	}
+	ctxB, cancelB := context.WithCancel(context.Background())
+	a := p.PassContext(context.Background(), 1)[0]
+	b := p.PassContext(ctxB, 1)[0]
+	got := []string{key(a.Row(0))}
+	b.Row(0)
+	cancelB()
+	// Wait for b's reader to stop: a's reader stays, blocked on its ring.
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.mu.Lock()
+		live := len(p.readers)
+		p.mu.Unlock()
+		if live == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pass readers still running after one pass was cancelled", live)
+		}
+	}
+	func() {
+		defer func() {
+			pe, ok := recover().(*PassError)
+			if !ok || !errors.Is(pe, context.Canceled) {
+				t.Fatalf("cancelled pass ended with %v, want a PassError for context.Canceled", pe)
+			}
+		}()
+		for i := 1; i < b.Len(); i++ {
+			b.Row(i)
+		}
+		t.Fatal("the cancelled pass read every row")
+	}()
+	for i := 1; i < a.Len(); i++ {
+		got = append(got, key(a.Row(i)))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("the neighbour of a cancelled pass did not read every row in order")
 	}
 }

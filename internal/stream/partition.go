@@ -15,11 +15,11 @@ import (
 )
 
 // Partitioned is the result of the first pass: per-column counts plus
-// the on-disk density buckets. It implements core.ConcurrentSource;
+// the on-disk density buckets. It implements core.ContextSource;
 // each Pass replays all rows sparsest-bucket-first through a
-// prefetching background reader, and ConcurrentPass broadcasts one
-// replay to several shard workers. Close cancels in-flight passes and
-// removes the spill files.
+// prefetching background reader, and ConcurrentPass and PassContext
+// broadcast one replay to several shard workers. Close cancels
+// in-flight passes and removes the spill files.
 type Partitioned struct {
 	dir     string
 	cols    int
@@ -28,7 +28,8 @@ type Partitioned struct {
 	buckets []bucket // ascending density; parallel partitioning may
 	// write several segments per density bucket (one per partition
 	// worker), kept adjacent so replay order stays bucket-monotone
-	cfg Config
+	bytes int64 // spill segment bytes
+	cfg   Config
 
 	keep bool // checkpoint mode: Close leaves the spill on disk
 
@@ -72,6 +73,11 @@ func PartitionWith(path string, cfg Config) (*Partitioned, error) {
 		}
 		// An invalid or missing checkpoint is not an error: fall
 		// through and partition afresh, overwriting it.
+	}
+	// The checkpoint names the input as it was before the first read.
+	id, err := Identify(path)
+	if err != nil {
+		return nil, err
 	}
 	rr, closer, err := matrix.OpenRowReader(path)
 	if err != nil {
@@ -127,6 +133,7 @@ func PartitionWith(path string, cfg Config) (*Partitioned, error) {
 		return nil, err
 	}
 	p.buckets = segs
+	p.bytes = spilledBytes
 
 	distinct := 0
 	last := -1
@@ -141,13 +148,21 @@ func PartitionWith(path string, cfg Config) (*Partitioned, error) {
 	metricSpilledBytes.Add(spilledBytes)
 	metricSpillBuckets.Add(int64(distinct))
 	if keep {
-		if err := writeManifest(path, p); err != nil {
-			return nil, err
+		// An input replaced or rewritten while it was read leaves
+		// segments this run may replay but no manifest a resume would
+		// trust.
+		if now, err := Identify(path); err == nil && id.Same(now) {
+			if err := writeManifest(path, id, p); err != nil {
+				return nil, err
+			}
 		}
 	}
 	ok = true
 	return p, nil
 }
+
+// Bytes is the size of the partition's spill segments on disk.
+func (p *Partitioned) Bytes() int64 { return p.bytes }
 
 func partitionSerial(rr matrix.RowReader, dir string, nb int, cfg Config, ones []int) ([]bucket, int64, error) {
 	ss := newSpillSet(dir, "", nb, cfg)

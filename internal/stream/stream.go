@@ -82,10 +82,11 @@ type Config struct {
 	Workers int
 
 	// Ctx, when non-nil, cancels the streaming substrate: the partition
-	// feeder and every replay pass observe it and tear down promptly
-	// (no leaked goroutines or spill fds). The Mine entry points also
-	// thread it into core.Options.Ctx when that is unset, so one knob
-	// cancels both the I/O and the scan loops.
+	// feeder and the passes of Pass and ConcurrentPass observe it and
+	// tear down promptly (no leaked goroutines or spill fds). A core
+	// mine starts its passes with its own core.Options.Ctx instead
+	// (PassContext); the Mine entry points set that to Ctx when it is
+	// unset, so one knob cancels both the I/O and the scan loops.
 	Ctx context.Context
 
 	// FS routes every spill-file operation (create, open, rename); nil
@@ -104,7 +105,9 @@ type Config struct {
 	// (written the same way, last) records the input identity and
 	// segment list, and Close keeps everything on disk. A later run
 	// with Resume set picks the partition up without re-reading the
-	// input.
+	// input. The identity is the one the input had before the first
+	// read; if it differs once the segments are written, no manifest
+	// is committed.
 	CheckpointDir string
 
 	// Resume, with CheckpointDir set, reuses a valid checkpoint in
