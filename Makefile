@@ -128,9 +128,13 @@ chaos-smoke:
 # spill-codec corruption must never panic the miners, the binary
 # encoder must write the reference encoder's bytes, splicing rows onto
 # an encoded prefix must write the whole encode's bytes, an incremental
-# snapshot either fails to decode or re-encodes to its exact bytes, and
-# the word kernels must agree with the naive reference loops on
-# arbitrary bit patterns. Go allows one fuzz target per invocation.
+# snapshot either fails to decode or re-encodes to its exact bytes, the
+# word kernels must agree with the naive reference loops on arbitrary
+# bit patterns, a rule file the readers accept must hold only possible
+# counts and survive a write-then-read round trip (and an implication
+# file must read as the fmt.Sscanf reader read it), and an appended mine
+# reply must be encoding/json's indented bytes for arbitrary labels and
+# counts. Go allows one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -run=NoTests -fuzz=FuzzBlockCodec -fuzztime=10s ./internal/matrix
 	$(GO) test -run=NoTests -fuzz=FuzzReadBinary -fuzztime=5s ./internal/matrix
@@ -139,6 +143,9 @@ fuzz-smoke:
 	$(GO) test -run=NoTests -fuzz=FuzzDecodeIncremental -fuzztime=10s ./internal/core
 	$(GO) test -run=NoTests -fuzz=FuzzPreparedParity -fuzztime=10s ./internal/core
 	$(GO) test -run=NoTests -fuzz=FuzzCountKernels -fuzztime=10s ./internal/bitset
+	$(GO) test -run=NoTests -fuzz=FuzzReadImplications -fuzztime=5s ./internal/rules
+	$(GO) test -run=NoTests -fuzz=FuzzReadSimilarities -fuzztime=5s ./internal/rules
+	$(GO) test -run=NoTests -fuzz=FuzzMineReply -fuzztime=5s ./internal/server
 
 # The load benchmark's own tests (its own module): percentile and
 # comparison arithmetic, and a short end-to-end smoke run.

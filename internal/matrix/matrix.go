@@ -12,6 +12,7 @@ package matrix
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Col identifies a column (attribute). Column ids are dense: a matrix
@@ -114,7 +115,7 @@ func (m *Matrix) Label(c Col) string {
 	if m.labels != nil {
 		return m.labels[c]
 	}
-	return fmt.Sprintf("c%d", c)
+	return "c" + strconv.FormatUint(uint64(c), 10)
 }
 
 // Validate checks the row invariants and returns the first violation.

@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"math"
+	"strconv"
+
+	"dmc/internal/matrix"
 )
 
 // Rule files let a mining run be separated from rule browsing: dmcmine
 // writes them, dmcrules reads them back. The format is line-oriented
 // text — a header, then one rule per line with its exact counts (so
-// confidences/similarities reload losslessly).
+// confidences/similarities reload losslessly). The same text is the
+// payload of cache entries, job results and fleet shard replies.
 
 // ErrRuleFormat is wrapped by all rule-file parse errors.
 var ErrRuleFormat = errors.New("rules: malformed rule file")
@@ -21,21 +25,48 @@ const (
 	simMagic = "dmcrules sim 1"
 )
 
-// WriteImplications writes rules in the implication rule-file format.
+// WriteImplications writes rules in the implication rule-file format:
+// the header "dmcrules imp 1 <n>", then "From To Hits Ones" per rule,
+// each field in decimal and separated by one space.
 func WriteImplications(w io.Writer, rs []Implication) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s %d\n", impMagic, len(rs)); err != nil {
+	line := appendHeader(make([]byte, 0, 128), impMagic, len(rs))
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, r := range rs {
-		if _, err := fmt.Fprintf(bw, "%d %d %d %d\n", r.From, r.To, r.Hits, r.Ones); err != nil {
+		line = strconv.AppendUint(line[:0], uint64(r.From), 10)
+		line = append(line, ' ')
+		line = strconv.AppendUint(line, uint64(r.To), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(r.Hits), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(r.Ones), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadImplications reads a file written by WriteImplications.
+// ReadImplications reads a file written by WriteImplications. It
+// streams: one line is held at a time, and a header's rule count is
+// trusted for allocation only up to a bound.
+//
+// The fields of a line (and the header's count) are decimal digits
+// separated by runs of ASCII blanks (space, \t, \v, \f, \r), which may
+// also lead and trail the line; the counts may carry a sign, the
+// column ids may not; a column id above MaxUint32 or a count outside
+// int is an error, as is an empty line. That is what the fmt.Sscanf
+// reader this one replaced accepted, except that
+//
+//   - bytes other than blanks after a line's last field, or after the
+//     header's count, are an error (Sscanf ignored them, so "0 1 1 1 x"
+//     and a five-field implication line used to read as their first
+//     four fields);
+//   - blanks are ASCII only (Sscanf also took Unicode spaces such as
+//     U+00A0 and U+2028 between fields).
 func ReadImplications(r io.Reader) ([]Implication, error) {
 	sc, n, err := ruleHeader(r, impMagic)
 	if err != nil {
@@ -46,10 +77,11 @@ func ReadImplications(r io.Reader) ([]Implication, error) {
 		if len(out) == n {
 			return nil, fmt.Errorf("%w: more than %d rules", ErrRuleFormat, n)
 		}
-		var rule Implication
-		if _, err := fmt.Sscanf(sc.Text(), "%d %d %d %d", &rule.From, &rule.To, &rule.Hits, &rule.Ones); err != nil {
+		var f [4]int64
+		if err := parseLine(sc.Bytes(), f[:], 2); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrRuleFormat, len(out)+2, err)
 		}
+		rule := Implication{From: matrix.Col(f[0]), To: matrix.Col(f[1]), Hits: int(f[2]), Ones: int(f[3])}
 		if err := checkCounts(rule.Hits, rule.Ones); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrRuleFormat, len(out)+2, err)
 		}
@@ -64,21 +96,35 @@ func ReadImplications(r io.Reader) ([]Implication, error) {
 	return out, nil
 }
 
-// WriteSimilarities writes rules in the similarity rule-file format.
+// WriteSimilarities writes rules in the similarity rule-file format:
+// the header "dmcrules sim 1 <n>", then "A B Hits OnesA OnesB" per
+// rule, as WriteImplications writes its fields.
 func WriteSimilarities(w io.Writer, rs []Similarity) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s %d\n", simMagic, len(rs)); err != nil {
+	line := appendHeader(make([]byte, 0, 128), simMagic, len(rs))
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, r := range rs {
-		if _, err := fmt.Fprintf(bw, "%d %d %d %d %d\n", r.A, r.B, r.Hits, r.OnesA, r.OnesB); err != nil {
+		line = strconv.AppendUint(line[:0], uint64(r.A), 10)
+		line = append(line, ' ')
+		line = strconv.AppendUint(line, uint64(r.B), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(r.Hits), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(r.OnesA), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(r.OnesB), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadSimilarities reads a file written by WriteSimilarities.
+// ReadSimilarities reads a file written by WriteSimilarities, with the
+// line syntax of ReadImplications.
 func ReadSimilarities(r io.Reader) ([]Similarity, error) {
 	sc, n, err := ruleHeader(r, simMagic)
 	if err != nil {
@@ -89,10 +135,11 @@ func ReadSimilarities(r io.Reader) ([]Similarity, error) {
 		if len(out) == n {
 			return nil, fmt.Errorf("%w: more than %d rules", ErrRuleFormat, n)
 		}
-		var rule Similarity
-		if _, err := fmt.Sscanf(sc.Text(), "%d %d %d %d %d", &rule.A, &rule.B, &rule.Hits, &rule.OnesA, &rule.OnesB); err != nil {
+		var f [5]int64
+		if err := parseLine(sc.Bytes(), f[:], 2); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrRuleFormat, len(out)+2, err)
 		}
+		rule := Similarity{A: matrix.Col(f[0]), B: matrix.Col(f[1]), Hits: int(f[2]), OnesA: int(f[3]), OnesB: int(f[4])}
 		if checkCounts(rule.Hits, rule.OnesA) != nil || checkCounts(rule.Hits, rule.OnesB) != nil {
 			return nil, fmt.Errorf("%w: line %d: impossible counts", ErrRuleFormat, len(out)+2)
 		}
@@ -107,21 +154,87 @@ func ReadSimilarities(r io.Reader) ([]Similarity, error) {
 	return out, nil
 }
 
+func appendHeader(b []byte, magic string, n int) []byte {
+	b = append(b, magic...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, '\n')
+}
+
 func ruleHeader(r io.Reader, magic string) (*bufio.Scanner, int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	if !sc.Scan() {
 		return nil, 0, fmt.Errorf("%w: missing header", ErrRuleFormat)
 	}
-	header := sc.Text()
-	if !strings.HasPrefix(header, magic+" ") {
+	header := sc.Bytes()
+	if len(header) <= len(magic) || string(header[:len(magic)]) != magic || header[len(magic)] != ' ' {
 		return nil, 0, fmt.Errorf("%w: bad header %q", ErrRuleFormat, header)
 	}
-	var n int
-	if _, err := fmt.Sscanf(header[len(magic):], "%d", &n); err != nil || n < 0 {
+	var f [1]int64
+	if err := parseLine(header[len(magic):], f[:], 0); err != nil || f[0] < 0 {
 		return nil, 0, fmt.Errorf("%w: bad rule count in %q", ErrRuleFormat, header)
 	}
-	return sc, n, nil
+	return sc, int(f[0]), nil
+}
+
+// parseLine parses the len(f) fields of one rule-file line into f, in
+// the syntax of ReadImplications: the first cols are column ids, the
+// rest counts.
+func parseLine(line []byte, f []int64, cols int) error {
+	i := 0
+	for k := range f {
+		j := i
+		for i < len(line) && isBlank(line[i]) {
+			i++
+		}
+		if i == j && k > 0 && i < len(line) {
+			return fmt.Errorf("unexpected %q after field %d", line[i:], k)
+		}
+		neg := false
+		if k >= cols && i < len(line) && (line[i] == '+' || line[i] == '-') {
+			neg = line[i] == '-'
+			i++
+		}
+		start := i
+		var v uint64
+		for ; i < len(line) && '0' <= line[i] && line[i] <= '9'; i++ {
+			if v > (math.MaxUint64-9)/10 {
+				v = math.MaxUint64 // past any limit; keep reading the digits
+				continue
+			}
+			v = v*10 + uint64(line[i]-'0')
+		}
+		if i == start {
+			if i == len(line) {
+				return fmt.Errorf("field %d missing", k+1)
+			}
+			return fmt.Errorf("field %d: expected a number at %q", k+1, line[i:])
+		}
+		limit := uint64(math.MaxInt)
+		if k < cols {
+			limit = math.MaxUint32
+		}
+		if v > limit {
+			return fmt.Errorf("field %d: %q out of range", k+1, line[start:i])
+		}
+		f[k] = int64(v)
+		if neg {
+			f[k] = -f[k]
+		}
+	}
+	for _, c := range line[i:] {
+		if !isBlank(c) {
+			return fmt.Errorf("unexpected %q after field %d", line[i:], len(f))
+		}
+	}
+	return nil
+}
+
+// isBlank reports whether c separates fields: the ASCII white space a
+// line can hold (ScanLines has already split at '\n').
+func isBlank(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // capHint bounds header-declared counts used as allocation hints (a

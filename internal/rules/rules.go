@@ -5,8 +5,9 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dmc/internal/matrix"
@@ -82,11 +83,11 @@ func (s Similarity) Canonical() Similarity {
 // column-completion order, which depends on the scan order, so tests and
 // tools sort before comparing or printing.
 func SortImplications(rs []Implication) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].From != rs[j].From {
-			return rs[i].From < rs[j].From
+	slices.SortFunc(rs, func(a, b Implication) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return rs[i].To < rs[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 }
 
@@ -95,11 +96,11 @@ func SortSimilarities(rs []Similarity) {
 	for i := range rs {
 		rs[i] = rs[i].Canonical()
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].A != rs[j].A {
-			return rs[i].A < rs[j].A
+	slices.SortFunc(rs, func(a, b Similarity) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		return rs[i].B < rs[j].B
+		return cmp.Compare(a.B, b.B)
 	})
 }
 

@@ -469,13 +469,15 @@ func TestKeptFaultCorruptSegment(t *testing.T) {
 // TestKeptFaultENOSPC: a build that runs out of disk evicts the idle
 // kept partition of another dataset and retries once; the retry's
 // partition serves, the evicted one is gone from disk and from the
-// gauge, and its dataset partitions again at its next mine.
+// gauge, and its dataset partitions again at its next mine. A build
+// whose retry runs out of disk too answers 507, as a PUT on a full disk
+// does, and the dataset mines once the disk has room.
 func TestKeptFaultENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, filepath.Join(dir, "store"), store.Options{})
 	s := NewWith(Config{Store: st, Registry: obs.NewRegistry()})
 	t.Cleanup(s.kept.closeAll)
-	ms := map[string]*matrix.Matrix{"a": keptMatrix(t, 1), "b": keptMatrix(t, 2)}
+	ms := map[string]*matrix.Matrix{"a": keptMatrix(t, 1), "b": keptMatrix(t, 2), "c": keptMatrix(t, 3)}
 	for name, m := range ms {
 		path := filepath.Join(dir, name+matrix.ExtBinary)
 		saveAged(t, path, m, time.Hour)
@@ -527,4 +529,20 @@ func TestKeptFaultENOSPC(t *testing.T) {
 	if n := streamPartitions.Value() - before; n != 1 {
 		t.Fatalf("the evicted dataset built %d partitions, want 1", n)
 	}
+
+	s.kept.fs = fault.NewInjector(fault.Scenario{Name: "disk full", ENOSPC: true, FailWriteAt: 1, FailForever: true})
+	resp, err := http.Get(ts.URL + "/v1/datasets/c/" + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInsufficientStorage || !bytes.Contains(body, []byte("no space left on device")) {
+		t.Fatalf("mine on a full disk: %d %s, want 507 naming ENOSPC", resp.StatusCode, body)
+	}
+	s.kept.fs = nil
+	check("c")
 }

@@ -2,11 +2,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"dmc/internal/cache"
@@ -43,6 +44,8 @@ type pipeline[R, W any] struct {
 	canon    func([]R)
 	wireSort func([]R)
 	wire     func(label func(matrix.Col) string, r R) W
+	// appendWire appends a wire rule's fields as a mine reply holds them.
+	appendWire func(W, []byte) []byte
 }
 
 var impPipeline = pipeline[rules.Implication, ImplicationWire]{
@@ -54,16 +57,18 @@ var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 	read:     rules.ReadImplications,
 	write:    rules.WriteImplications,
 	canon:    rules.SortImplications,
-	// Confidence descending, then column ids.
+	// Confidence descending, then column ids. A rule set holds each
+	// pair once, so no two rules compare equal and every sort yields
+	// the same order.
 	wireSort: func(rs []rules.Implication) {
-		sort.Slice(rs, func(i, j int) bool {
-			if rs[i].Confidence() != rs[j].Confidence() {
-				return rs[i].Confidence() > rs[j].Confidence()
+		slices.SortFunc(rs, func(a, b rules.Implication) int {
+			if c := cmp.Compare(b.Confidence(), a.Confidence()); c != 0 {
+				return c
 			}
-			if rs[i].From != rs[j].From {
-				return rs[i].From < rs[j].From
+			if c := cmp.Compare(a.From, b.From); c != 0 {
+				return c
 			}
-			return rs[i].To < rs[j].To
+			return cmp.Compare(a.To, b.To)
 		})
 	},
 	wire: func(label func(matrix.Col) string, r rules.Implication) ImplicationWire {
@@ -72,6 +77,7 @@ var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 			Confidence: r.Confidence(), Hits: r.Hits, Ones: r.Ones,
 		}
 	},
+	appendWire: ImplicationWire.appendJSON,
 }
 
 var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
@@ -95,14 +101,14 @@ var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 				rs[i].OnesA, rs[i].OnesB = rs[i].OnesB, rs[i].OnesA
 			}
 		}
-		sort.Slice(rs, func(i, j int) bool {
-			if rs[i].Value() != rs[j].Value() {
-				return rs[i].Value() > rs[j].Value()
+		slices.SortFunc(rs, func(a, b rules.Similarity) int {
+			if c := cmp.Compare(b.Value(), a.Value()); c != 0 {
+				return c
 			}
-			if rs[i].A != rs[j].A {
-				return rs[i].A < rs[j].A
+			if c := cmp.Compare(a.A, b.A); c != 0 {
+				return c
 			}
-			return rs[i].B < rs[j].B
+			return cmp.Compare(a.B, b.B)
 		})
 	},
 	wire: func(label func(matrix.Col) string, r rules.Similarity) SimilarityWire {
@@ -111,6 +117,7 @@ var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 			Similarity: r.Value(), Hits: r.Hits, OnesA: r.OnesA, OnesB: r.OnesB,
 		}
 	},
+	appendWire: SimilarityWire.appendJSON,
 }
 
 // residentEngine adapts a panic-based core miner to pipeline.resident.
@@ -154,18 +161,8 @@ func handleMine[R, W any](s *Server, pl *pipeline[R, W]) http.HandlerFunc {
 		}
 		elapsed := time.Since(start)
 		pl.wireSort(rs)
-		resp := MineResponse[W]{
-			Dataset: name, Threshold: p.threshold, Total: len(rs), ElapsedMS: elapsed.Milliseconds(),
-			Source: source,
-		}
-		for i, rule := range rs {
-			if i == p.limit {
-				resp.Truncated = true
-				break
-			}
-			resp.Rules = append(resp.Rules, pl.wire(d.label, rule))
-		}
-		writeJSON(w, http.StatusOK, resp)
+		head := MineResponse[W]{Dataset: name, Threshold: p.threshold, ElapsedMS: elapsed.Milliseconds(), Source: source}
+		writeMineReply(w, pl, head, rs, p.limit, d.label)
 	}
 }
 

@@ -299,7 +299,7 @@ func (d *dataset) label(c matrix.Col) string {
 	if d.m != nil {
 		return d.m.Label(c)
 	}
-	return fmt.Sprintf("c%d", c)
+	return "c" + strconv.FormatUint(uint64(c), 10)
 }
 
 // Server is the HTTP handler. The zero value is not usable; construct
@@ -817,7 +817,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 // burning CPU for a caller that is gone. On shed or deadline expiry the
 // error response is written here and false returned; typed mining
 // failures map to stable statuses (503 cancelled/deadline, 507 memory
-// budget, 500 otherwise).
+// budget, storeStatus otherwise: 507 for a full disk).
 func (s *Server) runMine(w http.ResponseWriter, r *http.Request) runner {
 	return func(pipeline string, mine func(context.Context, *core.Hooks) (core.Stats, error)) bool {
 		ctx := r.Context()
@@ -878,7 +878,7 @@ func (s *Server) runMine(w http.ResponseWriter, r *http.Request) runner {
 			default:
 				s.cfg.logger().Error("mine failed", slog.String("pipeline", pipeline),
 					slog.String("request_id", obs.RequestID(r.Context())), slog.Any("error", res.err))
-				writeErr(w, r, http.StatusInternalServerError, "mining failed: %v", res.err)
+				writeErr(w, r, storeStatus(res.err), "mining failed: %v", res.err)
 			}
 			return false
 		}
@@ -1174,18 +1174,23 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, format string,
 	writeJSON(w, status, body)
 }
 
-// writeStoreErr answers a failed store operation: a full disk is 507,
-// a poisoned store 503 (the replica needs a restart; go elsewhere),
-// anything else 500.
+// writeStoreErr answers a failed store operation with storeStatus.
 func writeStoreErr(w http.ResponseWriter, r *http.Request, what string, err error) {
-	status := http.StatusInternalServerError
+	writeErr(w, r, storeStatus(err), "%s: %v", what, err)
+}
+
+// storeStatus is the status of a request that failed on disk: a full
+// disk is 507, a poisoned store 503 (the replica needs a restart; go
+// elsewhere), anything else 500. Store writes and streamed mines, whose
+// kept partitions are written to the store's scratch dir, share it.
+func storeStatus(err error) int {
 	switch {
 	case errors.Is(err, syscall.ENOSPC):
-		status = http.StatusInsufficientStorage
+		return http.StatusInsufficientStorage
 	case errors.Is(err, store.ErrCorrupt):
-		status = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	}
-	writeErr(w, r, status, "%s: %v", what, err)
+	return http.StatusInternalServerError
 }
 
 // LoadStore registers every dataset in Config.Store's recovered
