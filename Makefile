@@ -38,12 +38,13 @@ test:
 # abandoned at its deadline, a streamed PUT publishing its dataset, a
 # mine borrowing an idle admission slot for a second worker, mines
 # sharing a kept partition while their neighbours are cancelled and the
-# dataset is deleted and re-added) repeated ten times.
+# dataset is deleted and re-added, mines deriving from a dataset's miss
+# counters while appends fold copies of them) repeated ten times.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -count=10 -run 'Parallel|Concurrent|SequentialSource|Prepared|ColMask' ./internal/core
 	$(GO) test -race -count=10 -run 'ParityAcrossWorkers|ConcurrentPass|FaultMatrixCancel' ./internal/stream
-	$(GO) test -race -count=10 -run 'StreamedPut|LadderConcurrent|LadderAbandoned|AutoWorkers|KeptConcurrent' ./internal/server
+	$(GO) test -race -count=10 -run 'StreamedPut|LadderConcurrent|LadderAbandoned|AutoWorkers|KeptConcurrent|AppendConcurrent' ./internal/server
 
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...

@@ -60,7 +60,7 @@ func main() {
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		streamMin  = flag.Int64("stream-min-bytes", 0, "serve matrix blobs/files at or above this size file-backed, streaming them from disk per request (0 loads everything into memory)")
 		memBudget  = flag.Int("mem-budget", 0, "counter-memory budget in bytes per resident mine; on overflow the mine degrades to out-of-core streaming (0 = unbounded)")
-		cacheDir   = flag.String("cache-dir", "", "mine-result cache directory: rule sets and append snapshots are cached by dataset content + mining parameters and journaled, so repeat mines — even across restarts — return without a scan (empty disables caching)")
+		cacheDir   = flag.String("cache-dir", "", "mine-result cache directory: rule sets are cached by dataset content + mining parameters and journaled, so repeat mines — even across restarts — return without a scan, and appended datasets hold miss counters that serve their next mines (empty disables both)")
 		cacheMax   = flag.Int64("cache-max-bytes", 0, "cache size bound; least-recently-used entries are evicted beyond it (0 = 256 MiB)")
 		fleetWork  = flag.Bool("fleet-worker", false, "serve the fleet worker endpoints: accept column-shard mining tasks and dataset replicas from a coordinator")
 		fleetNodes = flag.String("fleet-nodes", "", "comma-separated worker base URLs (http://host:port); makes this replica a fleet coordinator so ?fleet=1 mines scatter across the workers")

@@ -96,7 +96,7 @@ func (o Options) compactEvery() int {
 }
 
 // Key composes a cache key from a dataset content address, a result
-// kind ("imp", "sim", "inc", ...) and canonicalized parameters. The
+// kind ("imp", "sim", ...) and canonicalized parameters. The
 // parts are length-prefixed so no two distinct triples collide.
 func Key(contentHash, kind, params string) string {
 	return fmt.Sprintf("%d:%s|%d:%s|%d:%s",

@@ -31,11 +31,14 @@ import (
 //
 // The trade is memory: the state costs one counter-array entry (id +
 // counter) per co-occurring pair — the a-priori pair-counter bill that
-// DMC's pruning avoids — paid here to buy O(Δ·w² + pairs) appends and
-// O(pairs) re-mines instead of O(n·w²) full scans. Appending Δ rows
-// scans only those rows; deriving a rule set walks the counters once.
-// Both are exact: the derived rules are identical to a full DMC (or
-// naive) re-mine of the grown matrix.
+// DMC's pruning avoids (§3.1) — paid here to buy O(Δ·w² + pairs)
+// appends and O(pairs) re-mines instead of O(n·w²) full scans.
+// Appending Δ rows scans only those rows; deriving a rule set walks the
+// counters once. Both are exact: the derived rules are identical to a
+// full DMC (or naive) re-mine of the grown matrix. On wide sparse data
+// the bill is the memory wall the paper exists to avoid, so a caller
+// that holds this state checks PairBound first, from row weights alone,
+// and keeps miss counting where the pairs would not fit.
 //
 // The counters are that array literally: two parallel slices, keys
 // strictly increasing lo<<32|hi (lo < hi by id) and hits[i] =
@@ -44,9 +47,12 @@ import (
 // codec writes and reads the arrays in key order with no sort and no
 // hashing, and Similarities comes out already in canonical order.
 //
-// An Incremental is not safe for concurrent mutation; concurrent
-// Implications/Similarities/EncodeTo calls on a state that is not being
-// appended to are safe.
+// The serving layer holds one Incremental per appended dataset and
+// never mutates it: each append folds its batch into a copy (Folded),
+// so mines derive from the held state while the next append builds its
+// successor. AddRow, AddMatrixRows and Grow mutate in place and need
+// exclusive access; Folded, Implications, Similarities and EncodeTo
+// only read their receiver and may run concurrently.
 type Incremental struct {
 	cols int
 	rows int
@@ -101,6 +107,41 @@ func (inc *Incremental) AddMatrixRows(m *matrix.Matrix, from int) {
 	inc.fold(m.NumRows()-from, func(i int) []matrix.Col { return m.Row(from + i) })
 }
 
+// Folded returns a copy of the state with rows [from, m.NumRows()) of
+// m folded in, and leaves inc untouched. merge builds fresh key and hit
+// arrays, so the copy shares nothing with inc but what it only reads;
+// ones is the one array copied up front.
+func (inc *Incremental) Folded(m *matrix.Matrix, from int) *Incremental {
+	out := *inc
+	out.ones = slices.Clone(inc.ones)
+	out.AddMatrixRows(m, from)
+	return &out
+}
+
+// PairBytes is what one pair counter holds: its uint64 key and its
+// int32 hit count.
+const PairBytes = 12
+
+// PairBound bounds the pair counters of a state that holds held of them
+// once rows [from, m.NumRows()) of m are folded in: held plus
+// w(w−1)/2 for each of those rows' weights w, capped at the
+// cols(cols−1)/2 pairs m's columns can form. It reads only row weights,
+// so a caller can refuse counters that would not fit before building
+// any: BuildIncremental(m) holds at most PairBound(m, 0, 0) pairs, and
+// inc.Folded(m, from) at most PairBound(m, from, inc.Pairs()).
+func PairBound(m *matrix.Matrix, from, held int) int64 {
+	// Unsigned, so 0·(0−1) is 0 and no sum below the cap overflows: a
+	// matrix has at most 2³² columns, so the cap is below 2⁶³.
+	cols := uint64(m.NumCols())
+	limit := cols * (cols - 1) / 2
+	n := uint64(held)
+	for i := from; i < m.NumRows() && n < limit; i++ {
+		w := uint64(m.RowWeight(i))
+		n += w * (w - 1) / 2
+	}
+	return int64(min(n, limit))
+}
+
 // fold adds the n rows row(0..n-1) as one batch: their pair bumps are
 // tallied in a scratch map and merged into the sorted arrays once.
 func (inc *Incremental) fold(n int, row func(int) []matrix.Col) {
@@ -128,7 +169,8 @@ func (inc *Incremental) fold(n int, row func(int) []matrix.Col) {
 
 // merge adds delta's counts into the arrays: sort the batch's keys,
 // then build the merged arrays front to back, copying the held entries
-// between two batch keys as one run.
+// between two batch keys as one run. It writes only the fresh arrays,
+// never the held ones, which Folded relies on.
 func (inc *Incremental) merge(delta map[uint64]int32) {
 	add := make([]uint64, 0, len(delta))
 	for k := range delta {

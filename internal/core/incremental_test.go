@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dmc/internal/matrix"
@@ -425,5 +426,125 @@ func TestIncrementalCounterBytes(t *testing.T) {
 	inc.AddRow([]matrix.Col{0, 1, 2})
 	if got, want := inc.CounterBytes(), 3*entryBytes; got != want {
 		t.Fatalf("CounterBytes = %d, want %d", got, want)
+	}
+}
+
+// TestIncrementalFoldedConcurrent: Folded returns what a fresh build of
+// the grown matrix holds, byte for byte, including a fold that widens
+// the column space, and leaves its receiver's encoding and derivations
+// as they were while other goroutines read the receiver.
+func TestIncrementalFoldedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	full := randomMatrix(rng, 240, 24)
+	rows := make([][]matrix.Col, full.NumRows(), full.NumRows()+1)
+	for i := range rows {
+		rows[i] = full.Row(i)
+	}
+	const base = 100
+	inc := BuildIncremental(prefixMatrix(full, base))
+	var snap bytes.Buffer
+	if err := inc.EncodeTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	wantImp := impText(t, inc.Implications(FromPercent(60), Options{}))
+	wantSim := simText(t, inc.Similarities(FromPercent(40), Options{}))
+	// The grown matrices: every longer prefix, and the whole matrix plus
+	// one row over four new columns.
+	var grown []*matrix.Matrix
+	for n := base + 20; n <= full.NumRows(); n += 35 {
+		grown = append(grown, prefixMatrix(full, n))
+	}
+	grown = append(grown, matrix.FromRows(full.NumCols()+4, append(rows, []matrix.Col{3, 24, 25, 27})))
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var b bytes.Buffer
+				if err := inc.EncodeTo(&b); err != nil || !bytes.Equal(b.Bytes(), snap.Bytes()) {
+					t.Errorf("receiver's encoding changed while folding (err %v)", err)
+					return
+				}
+				var ib, sb bytes.Buffer
+				rules.WriteImplications(&ib, inc.Implications(FromPercent(60), Options{}))
+				rules.WriteSimilarities(&sb, inc.Similarities(FromPercent(40), Options{}))
+				if ib.String() != wantImp || sb.String() != wantSim {
+					t.Error("receiver's derivations changed while folding")
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, m := range grown {
+				var got, want bytes.Buffer
+				if err := inc.Folded(m, base).EncodeTo(&got); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := BuildIncremental(m).EncodeTo(&want); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("Folded to %d rows x %d cols encodes differently from a build", m.NumRows(), m.NumCols())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var after bytes.Buffer
+	if err := inc.EncodeTo(&after); err != nil || !bytes.Equal(after.Bytes(), snap.Bytes()) {
+		t.Fatalf("receiver changed by Folded (err %v)", err)
+	}
+	if inc.Rows() != base || inc.Cols() != full.NumCols() {
+		t.Fatalf("receiver is %d rows x %d cols, want %d x %d", inc.Rows(), inc.Cols(), base, full.NumCols())
+	}
+}
+
+// TestPairBound: the bound is min(Σ w(w−1)/2, cols(cols−1)/2) over the
+// rows folded, plus the pairs already held, and no build or fold holds
+// more pairs than it says.
+func TestPairBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *matrix.Matrix
+		want int64
+	}{
+		{"empty", matrix.FromRows(0, nil), 0},
+		{"empty rows", matrix.FromRows(5, [][]matrix.Col{{}, {2}, {}}), 0},
+		{"row sum", matrix.FromRows(10, [][]matrix.Col{{0, 1, 2}, {3, 4}, {0, 1, 2}}), 3 + 1 + 3},
+		{"column cap", matrix.FromRows(4, [][]matrix.Col{{0, 1, 2, 3}, {0, 1, 2, 3}}), 6},
+	} {
+		if got := PairBound(tc.m, 0, 0); got != tc.want {
+			t.Errorf("%s: PairBound = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(4000 + seed))
+		m := randomMatrix(rng, 10+rng.Intn(150), 2+rng.Intn(30))
+		cols := int64(m.NumCols())
+		var sum int64
+		for i := 0; i < m.NumRows(); i++ {
+			w := int64(m.RowWeight(i))
+			sum += w * (w - 1) / 2
+		}
+		if got, want := PairBound(m, 0, 0), min(sum, cols*(cols-1)/2); got != want {
+			t.Fatalf("seed %d: PairBound = %d, want %d", seed, got, want)
+		}
+		if inc := BuildIncremental(m); int64(inc.Pairs()) > PairBound(m, 0, 0) {
+			t.Fatalf("seed %d: a build holds %d pairs, bound %d", seed, inc.Pairs(), PairBound(m, 0, 0))
+		}
+		from := rng.Intn(m.NumRows())
+		base := BuildIncremental(prefixMatrix(m, from))
+		if got, bound := base.Folded(m, from).Pairs(), PairBound(m, from, base.Pairs()); int64(got) > bound {
+			t.Fatalf("seed %d: a fold from row %d holds %d pairs, bound %d", seed, from, got, bound)
+		}
 	}
 }

@@ -28,6 +28,7 @@ type fakeWorker struct {
 	mu       sync.Mutex
 	datasets map[string]*matrix.Matrix // name -> replica
 	hashes   map[string]string
+	ids      map[string][]string // method -> X-Request-ID of each push (PUT) and shard post (POST)
 
 	shed   atomic.Int64 // next N shard posts answer 503
 	reject atomic.Bool  // every shard post answers 500 (final)
@@ -42,12 +43,14 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	w := &fakeWorker{
 		datasets: make(map[string]*matrix.Matrix),
 		hashes:   make(map[string]string),
+		ids:      make(map[string][]string),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+InfoPath, func(rw http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(rw).Encode(Info{Status: "ready", CPUs: 1, Datasets: len(w.datasets)})
 	})
 	mux.HandleFunc("PUT "+DatasetsPath+"{name}", func(rw http.ResponseWriter, r *http.Request) {
+		w.noteID(r)
 		m, err := DecodeDataset(r.Body)
 		if err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -62,6 +65,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 		rw.WriteHeader(http.StatusCreated)
 	})
 	mux.HandleFunc("POST "+ShardPath, func(rw http.ResponseWriter, r *http.Request) {
+		w.noteID(r)
 		if w.reject.Load() {
 			http.Error(rw, "bad shard", http.StatusInternalServerError)
 			return
@@ -114,6 +118,13 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	return w
 }
 
+// noteID records the request id r carries.
+func (w *fakeWorker) noteID(r *http.Request) {
+	w.mu.Lock()
+	w.ids[r.Method] = append(w.ids[r.Method], r.Header.Get(obs.RequestIDHeader))
+	w.mu.Unlock()
+}
+
 func (w *fakeWorker) hold(name string, m *matrix.Matrix) {
 	h, _ := store.ContentHash(m)
 	w.mu.Lock()
@@ -159,6 +170,35 @@ func testRef(t *testing.T, m *matrix.Matrix) DatasetRef {
 		t.Fatal(err)
 	}
 	return DatasetRef{Name: "d", Hash: h, M: m}
+}
+
+// TestForwardsRequestID: a replica push and a shard task carry the
+// request id of the mine that sent them, so one id names the request on
+// every node it reached; a mine without an id sends none.
+func TestForwardsRequestID(t *testing.T) {
+	m := testMatrix(t, 3, 40, 12)
+	for _, id := range []string{"req-7f3a", ""} {
+		w := newFakeWorker(t) // holds no replica: the mine pushes one first
+		c := testFleet(t, []*fakeWorker{w})
+		ctx := context.Background()
+		if id != "" {
+			ctx = obs.WithRequestID(ctx, id)
+		}
+		if _, _, err := c.MineImplications(ctx, testRef(t, m), Params{ThresholdPercent: 70}); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		pushes, shards := w.ids[http.MethodPut], w.ids[http.MethodPost]
+		w.mu.Unlock()
+		if len(pushes) == 0 || len(shards) == 0 {
+			t.Fatalf("worker saw %d pushes and %d shard posts, want both", len(pushes), len(shards))
+		}
+		for _, got := range append(pushes, shards...) {
+			if got != id {
+				t.Fatalf("mine with request id %q: worker saw %q (pushes %q, shards %q)", id, got, pushes, shards)
+			}
+		}
+	}
 }
 
 // The core contract: a fleet mine over any worker count returns the

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"dmc/internal/obs"
 )
 
 // ErrStaleReplica is returned by a shard attempt when the worker does
@@ -234,6 +236,7 @@ func (n *Node) runShard(ctx context.Context, t Task) ([]byte, error) {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	obs.ForwardRequestID(req)
 	resp, err := n.client.Do(req)
 	if err != nil {
 		if !n.transportFailed(ctx) {
@@ -293,6 +296,7 @@ func (n *Node) pushDataset(ctx context.Context, name string, frame []byte) error
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	obs.ForwardRequestID(req)
 	resp, err := n.client.Do(req)
 	if err != nil {
 		if !n.transportFailed(ctx) {

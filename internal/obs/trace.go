@@ -14,11 +14,28 @@ import (
 
 type ctxKey struct{}
 
+// RequestIDHeader carries a request id: Trace honours it inbound and
+// echoes it, and a service that calls another forwards it.
+const RequestIDHeader = "X-Request-ID"
+
 // RequestID returns the request id the Trace middleware stored in ctx,
 // or "" outside a traced request.
 func RequestID(ctx context.Context) string {
 	id, _ := ctx.Value(ctxKey{}).(string)
 	return id
+}
+
+// WithRequestID returns ctx carrying id as its request id.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, ctxKey{}, id)
+}
+
+// ForwardRequestID sets req's RequestIDHeader to the request id its
+// context carries, if any, so one id follows a request across services.
+func ForwardRequestID(req *http.Request) {
+	if id := RequestID(req.Context()); id != "" {
+		req.Header.Set(RequestIDHeader, id)
+	}
 }
 
 // TraceConfig configures the Trace middleware. Every field may be left
@@ -65,12 +82,12 @@ func Trace(next http.Handler, cfg TraceConfig) http.Handler {
 		if logger == nil {
 			logger = slog.Default()
 		}
-		id := r.Header.Get("X-Request-ID")
+		id := r.Header.Get(RequestIDHeader)
 		if id == "" {
 			id = newRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
-		ctx := context.WithValue(r.Context(), ctxKey{}, id)
+		w.Header().Set(RequestIDHeader, id)
+		ctx := WithRequestID(r.Context(), id)
 
 		rw := &traceWriter{ResponseWriter: w}
 		ep := endpoint(r)

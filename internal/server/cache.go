@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
 
-	"dmc/internal/cache"
 	"dmc/internal/core"
 	"dmc/internal/matrix"
 	"dmc/internal/store"
@@ -21,10 +19,12 @@ import (
 // are simply never looked up again and age out of the LRU.
 //
 // Append-only growth rides the same identity: POST rows re-keys the
-// dataset under its grown content address and refreshes the "inc"
-// snapshot (the resumable miss-counting state, core.Incremental) so
-// the first mine of the grown dataset derives rules from counters in
-// O(pairs) instead of rescanning every row.
+// dataset under its grown content address. The grown registration also
+// holds its miss counters (dataset.inc, a core.Incremental): the append
+// folds its batch into a copy of the base's, so the first mine of the
+// grown dataset derives its rules from them in O(pairs) instead of
+// rescanning every row. The counters are never encoded or cached; a
+// restart loses them, and the first append after it builds them again.
 
 // paramsKey canonicalizes the parameters that determine a rule set.
 // workers only changes the schedule and limit only truncates the
@@ -50,55 +50,22 @@ func (s *Server) cacheable(d *dataset) (string, bool) {
 	return d.hash, true
 }
 
-// snapshot returns d's resumable mining state from the cache, if one
-// was stored for exactly this content (the snapshot's row count is
-// cross-checked against the dataset as a belt-and-suspenders guard on
-// top of content addressing).
-func (s *Server) snapshot(d *dataset) (*core.Incremental, bool) {
-	hash, ok := s.cacheable(d)
-	if !ok {
-		return nil, false
-	}
-	key := cache.Key(hash, "inc", "")
-	payload, ok := s.rc.Get(key)
-	if !ok {
-		return nil, false
-	}
-	inc, err := core.DecodeIncremental(bytes.NewReader(payload))
-	if err != nil || inc.Rows() != d.info.Rows {
-		s.rc.Remove(key)
-		return nil, false
-	}
-	return inc, true
-}
-
-// storeSnapshot caches inc as the resumable state for content hash.
-func (s *Server) storeSnapshot(hash string, inc *core.Incremental) {
-	if s.rc == nil || hash == "" {
-		return
-	}
-	var b bytes.Buffer
-	if inc.EncodeTo(&b) == nil {
-		_ = s.rc.Put(cache.Key(hash, "inc", ""), b.Bytes())
-	}
-}
-
 // AppendResponse is the wire form of a successful row append.
 type AppendResponse struct {
 	DatasetInfo
 	Appended    int  `json:"appended_rows"`
-	Incremental bool `json:"incremental"` // miss counters resumed, not rebuilt
+	Incremental bool `json:"incremental"` // miss counters folded into the base's, not rebuilt
 }
 
 // handleAppend implements POST /v1/datasets/{name}/rows: basket lines
-// in the body are appended to a resident dataset. The miss-counting
-// state resumes from the cached snapshot when one matches (processing
-// only the new rows — the paper's counters are resumable, which is the
-// whole point) and is rebuilt in one scan otherwise; either way the
-// grown dataset is committed to the store before it becomes visible,
-// and the refreshed snapshot is cached under the grown content address.
+// in the body are appended to a resident dataset. On a cached server
+// the grown dataset holds miss counters where they fit (counts): the
+// base's, with only the new rows folded into a copy — the paper's
+// counters are resumable, which is the whole point — or, when the base
+// holds none, counters built in one scan. Either way the grown dataset
+// is committed to the store before it becomes visible.
 // Ownership and the tenant byte quota are enforced as for a PUT of the
-// grown dataset.
+// grown dataset; the counters it holds count toward that quota.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	tenant, ok := s.tenantOf(w, r)
@@ -158,16 +125,13 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resume the miss counters from the old content's snapshot, or pay
-	// the one-time rebuild; then fold in only the appended rows. Without
-	// a cache nothing would ever read the snapshot, so there is none.
+	// Counters are derived state, like cached rules: only a server
+	// configured with a cache holds them. A cacheless one scans each
+	// mine of the grown dataset through its memo.
 	var inc *core.Incremental
 	resumed := false
 	if s.rc != nil {
-		if inc, resumed = s.snapshot(d); !resumed {
-			inc = core.BuildIncremental(d.m)
-		}
-		inc.AddMatrixRows(grown, d.m.NumRows())
+		inc, resumed = s.counts(d, grown, min(size, s.byteRoom(tenant, name)-size))
 	}
 
 	inf := DatasetInfo{Name: name, Rows: grown.NumRows(), Cols: grown.NumCols(), Ones: ones, Labeled: grown.Labels() != nil}
@@ -188,11 +152,46 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			hash = h
 		}
 	}
-	s.storeSnapshot(hash, inc)
-	s.add(name, &dataset{m: grown, info: inf, hash: hash, tenant: d.tenant, bytes: size})
+	if inc != nil {
+		// The dataset holds its counters: bill them with its bytes.
+		size += int64(inc.Pairs()) * core.PairBytes
+	}
+	s.add(name, &dataset{m: grown, inc: inc, info: inf, hash: hash, tenant: d.tenant, bytes: size})
 	s.noteTenantUsage(tenant)
 	s.metrics.appends.Inc()
 	writeJSON(w, http.StatusOK, AppendResponse{DatasetInfo: inf, Appended: added, Incremental: resumed})
+}
+
+// counts returns the miss counters of grown, whose first rows are d's,
+// and whether they were folded from d's held counters (true) or built
+// (false). limit is the bytes they may take: handleAppend passes the
+// bytes admission charges a resident mine of grown, or less when the
+// tenant's byte quota leaves less room beside the grown dataset. counts
+// returns nil when their bound (core.PairBound, billed at
+// core.PairBytes a pair) exceeds limit, or when the brownout ledger
+// refuses those bytes: that append still commits, and later mines of
+// the dataset scan through its memo. The bound is checked before
+// anything is built, so a wide sparse dataset never pays for counters
+// that would not fit; counts it once dropped are not built again until
+// they fit.
+func (s *Server) counts(d *dataset, grown *matrix.Matrix, limit int64) (*core.Incremental, bool) {
+	from, held := 0, 0
+	if d.inc != nil {
+		from, held = d.m.NumRows(), d.inc.Pairs()
+	}
+	need := core.PairBound(grown, from, held) * core.PairBytes
+	if need > limit {
+		return nil, false
+	}
+	release, brownout := s.admitResident(need)
+	if brownout {
+		return nil, false
+	}
+	defer release()
+	if d.inc == nil {
+		return core.BuildIncremental(grown), false
+	}
+	return d.inc.Folded(grown, from), true
 }
 
 // handleDelete implements DELETE /v1/datasets/{name}. Durable datasets

@@ -236,15 +236,14 @@ func TestDeleteEndpoint(t *testing.T) {
 }
 
 // TestAppendIncrementalParity: POST rows grows the dataset; the next
-// mine derives from the resumed snapshot (source=incremental) and must
-// equal a from-scratch mine of the same grown content on a cacheless
-// server.
+// mine derives from the dataset's miss counters (source=incremental)
+// and must equal a from-scratch mine of the same grown content on a
+// cacheless server.
 func TestAppendIncrementalParity(t *testing.T) {
 	_, ts := cachedTestServer(t)
 	doPut(t, ts.URL, "d", basketBody)
-	// Prime the snapshot path: the first mine caches rules; the append
-	// handler will build the snapshot from the resident matrix since no
-	// snapshot exists yet for the original content.
+	// The first mine caches rules; the append builds the miss counters
+	// from the grown matrix, since the PUT dataset holds none.
 	var cold MineResponse[ImplicationWire]
 	getJSON(t, ts.URL+"/v1/datasets/d/implications?threshold=80", http.StatusOK, &cold)
 
@@ -300,7 +299,7 @@ func TestAppendIncrementalParity(t *testing.T) {
 		}
 	}
 
-	// Similarities ride the same snapshot.
+	// Similarities ride the same counters.
 	var gs MineResponse[SimilarityWire]
 	getJSON(t, ts.URL+"/v1/datasets/d/similarities?threshold=60", http.StatusOK, &gs)
 	if gs.Source != "incremental" {
@@ -313,19 +312,19 @@ func TestAppendIncrementalParity(t *testing.T) {
 	}
 }
 
-// TestAppendChainResumesSnapshot: the second append resumes the
-// snapshot the first one cached (incremental=true on the wire) instead
+// TestAppendChainResumesSnapshot: the second append folds into the
+// counters the first one built (incremental=true on the wire) instead
 // of rebuilding from scratch.
 func TestAppendChainResumesSnapshot(t *testing.T) {
 	_, ts := cachedTestServer(t)
 	doPut(t, ts.URL, "d", "a b\na b\n")
 	r1 := doAppendJSON(t, ts.URL, "d", "a c\n")
 	if r1.Incremental {
-		t.Fatal("first append claims a resumed snapshot; none existed")
+		t.Fatal("first append claims folded counters; none existed")
 	}
 	r2 := doAppendJSON(t, ts.URL, "d", "b c\na b c\n")
 	if !r2.Incremental {
-		t.Fatal("second append rebuilt instead of resuming the snapshot")
+		t.Fatal("second append rebuilt instead of folding into the counters")
 	}
 	if r2.Rows != 5 || r2.Appended != 2 {
 		t.Fatalf("append response = %+v", r2)
@@ -412,7 +411,11 @@ func TestAppendWidthLimit(t *testing.T) {
 // appends (new columns, an empty row) the recovered dataset has the
 // resident one's content address and info, every mine returns the same
 // rules, and the ones count the append path derives without a row walk
-// — on the wire and in the store entry — is the final matrix's.
+// — on the wire and in the store entry — is the final matrix's. The
+// restarted server has a fresh cache, so its mines scan the recovered
+// rows. The miss counters are not durable: the first append after the
+// restart builds them again (incremental: false), the next folds into
+// them, and the mines after each equal a fresh server's.
 func TestAppendDurable(t *testing.T) {
 	storeDir, cacheDir := t.TempDir(), t.TempDir()
 	st := openTestStore(t, storeDir, store.Options{})
@@ -420,8 +423,10 @@ func TestAppendDurable(t *testing.T) {
 	s := NewWith(Config{Store: st, Cache: c})
 	ts := httptest.NewServer(s.Handler())
 	doPut(t, ts.URL, "d", basketBody)
+	body := basketBody
 	for _, batch := range []string{"bread butter scone\ncream scone\n", "jam tea\n\nbread cream jam\n", "honey\nbread butter\n"} {
 		doAppendJSON(t, ts.URL, "d", batch)
+		body += batch
 	}
 	d, _ := s.get("d")
 	var inf DatasetInfo
@@ -438,7 +443,7 @@ func TestAppendDurable(t *testing.T) {
 	if e, _ := st2.Get("d"); e.Hash != d.hash || e.Ones != d.m.NumOnes() {
 		t.Fatalf("reopened entry = %+v, want hash %s and %d ones", e, d.hash, d.m.NumOnes())
 	}
-	s2 := NewWith(Config{Store: st2})
+	s2 := NewWith(Config{Store: st2, Cache: openTestCache(t, t.TempDir())})
 	if err := s2.LoadStore(); err != nil {
 		t.Fatal(err)
 	}
@@ -448,8 +453,33 @@ func TestAppendDurable(t *testing.T) {
 	if d2.hash != d.hash || d2.info != inf {
 		t.Fatalf("recovered dataset %s %+v, want %s %+v", d2.hash, d2.info, d.hash, inf)
 	}
-	if after := mineEvery(t, ts2.URL); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("mines after the restart differ:\n%v\nbefore:\n%v", after, before)
+	for q, rs := range before {
+		var r minedReply
+		getJSON(t, ts2.URL+"/v1/datasets/d/"+q, http.StatusOK, &r)
+		if r.Source != "" {
+			t.Fatalf("%s after the restart: source %q, want a scan of the recovered rows", q, r.Source)
+		}
+		if string(r.Rules) != rs {
+			t.Fatalf("%s after the restart differs:\n%s\nbefore:\n%s", q, r.Rules, rs)
+		}
+	}
+
+	for i, batch := range []string{"scone jam\n", "bread honey tea\n"} {
+		body += batch
+		if r := doAppendJSON(t, ts2.URL, "d", batch); r.Incremental != (i > 0) {
+			t.Fatalf("append %d after the restart: incremental %v, want %v", i, r.Incremental, i > 0)
+		}
+		if d, _ := s2.get("d"); d.inc == nil {
+			t.Fatalf("append %d after the restart left no counters", i)
+		}
+		ref := New()
+		ref.Add("d", mustParseBaskets(t, body))
+		tsRef := httptest.NewServer(ref.Handler())
+		got, want := mineEvery(t, ts2.URL), mineEvery(t, tsRef.URL)
+		tsRef.Close()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("mines after append %d after the restart differ from a fresh server's:\n%v\nfresh:\n%v", i, got, want)
+		}
 	}
 }
 
@@ -716,9 +746,9 @@ func TestAppendTenantRules(t *testing.T) {
 	}
 }
 
-// TestCachelessAppendParity: without a cache nothing reads a snapshot,
-// so the append neither builds one nor hashes the grown matrix — and
-// mines of the grown dataset still equal a fresh server's.
+// TestCachelessAppendParity: without a cache the append neither builds
+// miss counters nor hashes the grown matrix — and mines of the grown
+// dataset still equal a fresh server's.
 func TestCachelessAppendParity(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -89,11 +90,7 @@ func (s *Server) checkDatasetQuota(tenant, name string, est int64) *shedInfo {
 	if q.MaxDatasets <= 0 && q.MaxBytes <= 0 {
 		return nil
 	}
-	n, used := s.tenantUsage(tenant)
-	if old, ok := s.getFor(tenant, name); ok {
-		n--
-		used -= old.bytes
-	}
+	n, used := s.usageBeside(tenant, name)
 	switch {
 	case q.MaxDatasets > 0 && n >= q.MaxDatasets:
 		s.metrics.tenantRejects.With(tenant, "datasets").Inc()
@@ -111,6 +108,28 @@ func (s *Server) checkDatasetQuota(tenant, name string, est int64) *shedInfo {
 		}
 	}
 	return nil
+}
+
+// usageBeside is tenantUsage without tenant's dataset called name,
+// which the caller is about to replace.
+func (s *Server) usageBeside(tenant, name string) (n int, used int64) {
+	n, used = s.tenantUsage(tenant)
+	if old, ok := s.getFor(tenant, name); ok {
+		n--
+		used -= old.bytes
+	}
+	return n, used
+}
+
+// byteRoom is what tenant's byte quota leaves for its dataset called
+// name once that replaces the current one: unbounded without a quota.
+func (s *Server) byteRoom(tenant, name string) int64 {
+	q := s.cfg.TenantQuota.MaxBytes
+	if q <= 0 {
+		return math.MaxInt64
+	}
+	_, used := s.usageBeside(tenant, name)
+	return q - used
 }
 
 // tenantRetryAfter derives a Retry-After for tenant-quota sheds from
@@ -308,12 +327,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // runJob is the jobs.Runner this server injects into its manager: it
 // runs one mine session against the tenant's dataset down the ladder
-// and returns the canonical dmcrules payload. A cached or
-// snapshot-derived result costs no scan (and publishes no phase or
-// stats frames); a scan's result warms the cache. Streamed datasets
-// wire the job's scratch directory into the out-of-core engine's
-// checkpoint machinery, which is what makes a SIGKILL'd session
-// resumable. The payload is rendered deterministically — canonical
+// and returns the canonical dmcrules payload. A cached result, or one
+// derived from the dataset's miss counters, costs no scan (and
+// publishes no phase or stats frames); a scan's result warms the
+// cache. Streamed datasets wire the job's scratch directory into the
+// out-of-core engine's checkpoint machinery, which is what makes a
+// SIGKILL'd session resumable. The payload is rendered deterministically — canonical
 // sort, fixed text format — so a resumed session is byte-identical to
 // an uninterrupted one.
 func (s *Server) runJob(ctx context.Context, j jobs.Job, env jobs.RunEnv) ([]byte, int, error) {

@@ -104,8 +104,9 @@ var ladderKeys = []struct {
 
 // TestLadderJobPayloadParity: a job's payload is byte-identical to the
 // canonical payload of the same HTTP mine on every rung — a resident
-// scan, a streamed scan, a cache hit and a snapshot derivation after an
-// append — for both families, with and without support pruning.
+// scan, a streamed scan, a cache hit and a derivation from the miss
+// counters after an append — for both families, with and without
+// support pruning.
 func TestLadderJobPayloadParity(t *testing.T) {
 	grown := basketBody + appendedRows
 	for _, k := range ladderKeys {
@@ -183,7 +184,7 @@ func TestLadderJobWarmsCache(t *testing.T) {
 }
 
 // TestLadderExpandRungs: /expand answers the same groups whether its
-// key is cold, cached or derived from a snapshot.
+// key is cold, cached or derived from the dataset's miss counters.
 func TestLadderExpandRungs(t *testing.T) {
 	expand := func(base string) []byte {
 		t.Helper()
@@ -221,16 +222,17 @@ func TestLadderExpandRungs(t *testing.T) {
 	inc := s.metrics.incMines.With("imp").Value()
 	derived := expand(base)
 	if s.metrics.incMines.With("imp").Value()-inc != 1 {
-		t.Fatal("expand after an append did not derive from the snapshot")
+		t.Fatal("expand after an append did not derive from the counters")
 	}
 	if want := fresh(basketBody + appendedRows); !bytes.Equal(derived, want) {
-		t.Fatalf("snapshot expand differs from a cold one:\n%s\nvs\n%s", derived, want)
+		t.Fatalf("derived expand differs from a cold one:\n%s\nvs\n%s", derived, want)
 	}
 }
 
-// TestLadderShardSkipsSnapshot: a fleet shard task on a dataset with a
-// cached snapshot returns only its own columns' rules — the snapshot
-// derivation ignores the shard — byte-identical to a cacheless worker.
+// TestLadderShardSkipsSnapshot: a fleet shard task on a dataset that
+// holds miss counters returns only its own columns' rules — a
+// derivation from the counters ignores the shard — byte-identical to a
+// cacheless worker.
 func TestLadderShardSkipsSnapshot(t *testing.T) {
 	grown, err := matrix.ReadBaskets(strings.NewReader(basketBody + appendedRows))
 	if err != nil {
@@ -251,8 +253,8 @@ func TestLadderShardSkipsSnapshot(t *testing.T) {
 	if d.hash != hash {
 		t.Fatalf("appended dataset hash %q, want %q", d.hash, hash)
 	}
-	if _, ok := s.snapshot(d); !ok {
-		t.Fatal("the append cached no snapshot; the test is vacuous")
+	if d.inc == nil {
+		t.Fatal("the append left the dataset no miss counters; the test is vacuous")
 	}
 	plain := NewWith(Config{FleetWorker: true, Registry: obs.NewRegistry()})
 	plain.Add("d", grown)
@@ -276,7 +278,7 @@ func TestLadderShardSkipsSnapshot(t *testing.T) {
 	for _, mode := range []string{"imp", "sim"} {
 		got, want := shard(ts.URL, mode), shard(pts.URL, mode)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s shard on a snapshotted dataset:\n%s\nwant the cacheless worker's\n%s", mode, got, want)
+			t.Fatalf("%s shard on a dataset with counters:\n%s\nwant the cacheless worker's\n%s", mode, got, want)
 		}
 		if mode == "imp" {
 			rs, err := rules.ReadImplications(bytes.NewReader(got))
@@ -291,7 +293,7 @@ func TestLadderShardSkipsSnapshot(t *testing.T) {
 		}
 	}
 	if n := s.metrics.incMines.With("imp").Value() + s.metrics.incMines.With("sim").Value(); n != 0 {
-		t.Fatalf("shard tasks derived %d times from the snapshot", n)
+		t.Fatalf("shard tasks derived %d times from the counters", n)
 	}
 }
 

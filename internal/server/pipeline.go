@@ -91,7 +91,7 @@ var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 	canon:    rules.SortSimilarities,
 	// Pairs come back rank-ordered — the rarer column first, ids breaking
 	// ties — regardless of which engine produced them: scan engines emit
-	// that orientation natively, but cached payloads and snapshot
+	// that orientation natively, but cached payloads and counter
 	// derivations are canonicalized by column id, so re-orient here. Then
 	// similarity descending, then column ids.
 	wireSort: func(rs []rules.Similarity) {
@@ -176,29 +176,27 @@ type runner func(label string, mine func(ctx context.Context, hooks *core.Hooks)
 
 // ladder is the one serving decision of every mine: HTTP mines,
 // expansions, fleet shard tasks and async jobs. It tries the result
-// cache, then a derivation from d's resumable snapshot, then a scan
+// cache, then a derivation from d's miss counters (d.inc), then a scan
 // under run: a fleet scatter for p.fleet, otherwise a local mine, where
 // a file-backed dataset takes mineFile with sc and a resident one
 // takes mineMem. It caches what it computed and returns the rules and
 // the rung that served them: "cache", "incremental", "fleet", or "" for
 // a local scan. ok is false when the scan failed.
 //
-// The cache and snapshot rungs take no admission slot and start no
-// goroutine. Shard tasks skip the snapshot: a derivation ignores
+// The cache and incremental rungs take no admission slot and start no
+// goroutine. Shard tasks skip the counters: a derivation ignores
 // Options.Shard and would return every column's rules.
 func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run runner, sc stream.Config) ([]R, string, bool) {
 	if rs, ok := cachedRules(s, pl, d, p); ok {
 		return rs, "cache", true
 	}
 	t := core.FromPercent(p.threshold)
-	if p.shard == nil {
-		if inc, ok := s.snapshot(d); ok {
-			// O(pairs) from the resumable counters, no scan.
-			rs := pl.derive(inc, t, core.Options{MinSupport: p.minSupport})
-			s.metrics.incMines.With(pl.name).Inc()
-			storeRules(s, pl, d, p, rs)
-			return rs, "incremental", true
-		}
+	if p.shard == nil && d.inc != nil {
+		// O(pairs) from the dataset's miss counters, no scan.
+		rs := pl.derive(d.inc, t, core.Options{MinSupport: p.minSupport})
+		s.metrics.incMines.With(pl.name).Inc()
+		storeRules(s, pl, d, p, rs)
+		return rs, "incremental", true
 	}
 	// A scan that run abandons at its deadline may still finish in the
 	// background: it writes only mined and sc, which nothing reads

@@ -54,7 +54,7 @@ func TestSimPrefilterParam(t *testing.T) {
 }
 
 // A request still carrying &prefilter=1 shares the plain request's
-// snapshot derivation and cache entry.
+// derivation from the miss counters and its cache entry.
 func TestSimPrefilterCacheAndSnapshot(t *testing.T) {
 	_, ts := cachedTestServer(t)
 	doReq(t, http.MethodPut, ts.URL+"/v1/datasets/d", "a b\na b c\nc d\na b\n")

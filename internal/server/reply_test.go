@@ -16,7 +16,6 @@ import (
 
 	"dmc/internal/cache"
 	"dmc/internal/core"
-	"dmc/internal/gen"
 	"dmc/internal/matrix"
 	"dmc/internal/rules"
 )
@@ -182,12 +181,7 @@ func newReplyKey[R, W any](b *testing.B, pl *pipeline[R, W], name, path string, 
 // in-memory request to a recorded response. us/imp85 and us/imp60 are
 // the keys at cache-hot's p50 and p90 steps.
 func BenchmarkMineReply(b *testing.B) {
-	m := gen.Bench(gen.Config{Scale: 0.125, Seed: 1})
-	labels := make([]string, m.NumCols())
-	for c := range labels {
-		labels[c] = "i" + strconv.Itoa(c)
-	}
-	m.SetLabels(labels)
+	m := benchMatrix(1)
 	c, err := cache.Open(b.TempDir(), cache.Options{})
 	if err != nil {
 		b.Fatal(err)

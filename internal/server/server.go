@@ -109,8 +109,8 @@ type Config struct {
 	Store *store.Store
 	// Cache, when set, is the content-addressed mine-result cache:
 	// repeat mines of an unchanged (dataset, params) pair are served
-	// from it in O(1), and append-only growth keeps its resumable
-	// mining snapshots there. Nil disables caching.
+	// from it in O(1), and appended datasets hold miss counters that
+	// serve their first mines without a scan. Nil disables both.
 	Cache *cache.Cache
 	// MaxUploadBytes caps PUT bodies; zero means 64MB.
 	MaxUploadBytes int64
@@ -251,7 +251,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		datasets: reg.Gauge("dmc_datasets_loaded",
 			"Datasets currently resident in memory."),
 		incMines: reg.CounterVec("dmc_incremental_mines_total",
-			"Mines answered by deriving rules from a resumable snapshot instead of scanning.", "pipeline"),
+			"Mines answered by deriving rules from a dataset's miss counters instead of scanning.", "pipeline"),
 		appends: reg.Counter("dmc_dataset_appends_total",
 			"Row-append requests applied to datasets."),
 		tenantDatasets: reg.GaugeVec("dmc_tenant_datasets",
@@ -275,6 +275,12 @@ type dataset struct {
 	// the 100% rules); add sets it for every resident dataset. Any
 	// change to the data builds a new dataset, so it never goes stale.
 	prep *core.Prepared
+	// inc holds the miss counters (core.Incremental) of a resident
+	// dataset that an append produced on a cached server; nil after a
+	// PUT or a restart, and when the counters would not fit
+	// (Server.counts). Never mutated: the next append folds its rows
+	// into a copy, so mines derive from it while that append runs.
+	inc  *core.Incremental
 	path string
 	// slot holds a file-backed dataset's kept partition; add opens it
 	// and the registration's end closes it.
@@ -288,7 +294,8 @@ type dataset struct {
 	tenant string
 	// bytes is the dataset's estimated storage footprint for the
 	// per-tenant byte quota: the committed blob size for durable
-	// datasets, the resident-footprint estimate otherwise.
+	// datasets, the resident-footprint estimate otherwise, plus
+	// core.PairBytes for each pair counter inc holds.
 	bytes int64
 }
 
@@ -979,7 +986,7 @@ type ImplicationWire struct {
 // MineResponse wraps a mined rule list with run metadata. Source
 // reports how the rules were obtained: "" for a full scan, "cache" for
 // an O(1) cached result, "incremental" for a derivation from the
-// resumable snapshot.
+// dataset's miss counters.
 type MineResponse[R any] struct {
 	Dataset   string `json:"dataset"`
 	Threshold int    `json:"threshold_percent"`
