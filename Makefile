@@ -38,7 +38,8 @@ test:
 # abandoned at its deadline, a streamed PUT publishing its dataset, a
 # mine borrowing an idle admission slot for a second worker, mines
 # sharing a kept partition while their neighbours are cancelled and the
-# dataset is deleted and re-added, mines deriving from a dataset's miss
+# dataset is deleted and re-added, by path or as a stored blob whose
+# partition is durable, mines deriving from a dataset's miss
 # counters while appends fold copies of them) repeated ten times.
 race:
 	$(GO) test -race ./internal/...
@@ -71,8 +72,10 @@ bench-compare:
 # ENOSPC, CRC corruption) at 1, 2 and 8 workers over the CRC-framed
 # spill codec, mid-pass cancellation, checkpoint/resume (an input
 # replaced mid-partition included), a server's kept partition damaged
-# between mines or built on a full disk, and the SIGKILL + -resume
-# smoke — every cell must end in exact rules or a typed error.
+# between mines or built on a full disk, a stored blob's durable kept
+# partition failed at each create, write, sync and rename of its build
+# (TestKeptFaultSweep, with a reboot after each), and the SIGKILL +
+# -resume smoke — every cell must end in exact rules or a typed error.
 fault-matrix:
 	$(GO) test -race -run 'Fault|Cancel|Corrupt|Checkpoint|Budget|Retry|Injector' ./internal/fault ./internal/stream ./internal/core ./internal/server .
 	$(GO) test -race -run 'KillResume' ./cmd/dmcmine
@@ -93,9 +96,10 @@ store-crash:
 # the weighted-fair queue share/work-conservation properties, SSE
 # misbehaving-client cells (slow reader dropped, mid-stream disconnect
 # leaks nothing), tenant quota sheds with Retry-After, and the re-exec
-# SIGKILL drill: kill dmcserve mid-job after the streaming checkpoint
-# commits, reboot over the same directories, and require the resumed
-# job's result byte-identical to an uninterrupted mine.
+# SIGKILL drill: kill dmcserve mid-job after the dataset's durable kept
+# partition commits, reboot over the same directories, and require the
+# job to resume that partition and its result to be byte-identical to
+# an uninterrupted mine.
 jobs-crash:
 	$(GO) test -race ./internal/jobs
 	$(GO) test -race -run 'Job|SSE|Tenant|Shed|Admission|FairQueue' ./internal/server

@@ -36,7 +36,7 @@ func TestHelperJobsServe(t *testing.T) {
 		t.Skip("helper process for TestJobsCrashResume")
 	}
 	cfg := server.Config{
-		StreamMinBytes: 1, // every durable dataset serves file-backed -> checkpointed mines
+		StreamMinBytes: 1, // every durable dataset serves file-backed -> durable kept partitions
 		JobWorkers:     1,
 	}
 	s, ln, closer, err := setup(cfg, setupConfig{
@@ -62,8 +62,8 @@ func TestHelperJobsServe(t *testing.T) {
 }
 
 // crashDataset is the mine input: big enough that the counting passes
-// run long after the partition checkpoint commits, so the parent's
-// SIGKILL reliably lands mid-mine with a resumable checkpoint on disk.
+// run long after the kept partition commits, so the parent's SIGKILL
+// reliably lands mid-mine with a resumable partition on disk.
 func crashDataset() string {
 	rng := rand.New(rand.NewSource(7))
 	var sb strings.Builder
@@ -143,11 +143,11 @@ func startVictim(t *testing.T, dir, addrFile string) (base string, kill func()) 
 }
 
 // TestJobsCrashResume is the acceptance drill: SIGKILL the server while
-// an async mine job is mid-run (streaming checkpoint already committed),
-// restart over the same directories, and require that journal replay
-// re-admits the job, the mine resumes from the checkpoint instead of
-// partitioning afresh, and the resumed result is byte-identical to an
-// uninterrupted in-process mine.
+// an async mine job is mid-run (the dataset's durable kept partition
+// already committed), restart over the same directories, and require
+// that journal replay re-admits the job, the mine resumes the kept
+// partition instead of partitioning afresh, and the resumed result is
+// byte-identical to an uninterrupted in-process mine.
 func TestJobsCrashResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec crash drill")
@@ -187,13 +187,14 @@ func TestJobsCrashResume(t *testing.T) {
 		t.Fatalf("submit: status %d, job %+v", resp.StatusCode, job)
 	}
 
-	// The streaming engine commits MANIFEST.json only after the whole
-	// partition pass is durably on disk — its appearance means a valid
-	// checkpoint exists and the counting passes are running. Kill there.
-	manifest := filepath.Join(dir, "jobs", "scratch", job.ID, "MANIFEST.json")
+	// The stored blob's kept partition commits MANIFEST.json only after
+	// the whole partition pass is durably on disk — its appearance means
+	// a valid checkpoint exists and the counting passes are running.
+	// Kill there.
+	manifest := filepath.Join(dir, "store", "kept", "*", "MANIFEST.json")
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, err := os.Stat(manifest); err == nil {
+		if found, _ := filepath.Glob(manifest); len(found) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

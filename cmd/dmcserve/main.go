@@ -60,7 +60,7 @@ func main() {
 		logJSON    = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		streamMin  = flag.Int64("stream-min-bytes", 0, "serve matrix blobs/files at or above this size file-backed, streaming them from disk per request (0 loads everything into memory)")
 		memBudget  = flag.Int("mem-budget", 0, "counter-memory budget in bytes per resident mine; on overflow the mine degrades to out-of-core streaming (0 = unbounded)")
-		cacheDir   = flag.String("cache-dir", "", "mine-result cache directory: rule sets are cached by dataset content + mining parameters and journaled, so repeat mines — even across restarts — return without a scan, and appended datasets hold miss counters that serve their next mines (empty disables both)")
+		cacheDir   = flag.String("cache-dir", "", "mine-result cache directory: rule sets are cached by dataset content + mining parameters and journaled, so repeat mines — even across restarts — return without a scan (empty disables the cache)")
 		cacheMax   = flag.Int64("cache-max-bytes", 0, "cache size bound; least-recently-used entries are evicted beyond it (0 = 256 MiB)")
 		fleetWork  = flag.Bool("fleet-worker", false, "serve the fleet worker endpoints: accept column-shard mining tasks and dataset replicas from a coordinator")
 		fleetNodes = flag.String("fleet-nodes", "", "comma-separated worker base URLs (http://host:port); makes this replica a fleet coordinator so ?fleet=1 mines scatter across the workers")
@@ -68,7 +68,7 @@ func main() {
 		fleetBreak = flag.Int("fleet-breaker-threshold", 3, "consecutive transport failures that open a worker's circuit breaker — an open node takes no shards until a half-open health probe succeeds (negative disables the breakers)")
 		fleetCool  = flag.Duration("fleet-breaker-cooldown", 10*time.Second, "how long an open breaker quarantines its worker before a half-open probe may close it")
 		fleetHedge = flag.Duration("fleet-hedge-after", 0, "how long a shard dispatch waits on a straggling worker before hedging the same shard to a sibling (first success wins); 0 adapts to 2x the observed latency EWMA, negative disables hedging")
-		jobsDir    = flag.String("jobs-dir", "", "async job directory: enables POST /v1/jobs with a crash-safe journal here — a SIGKILL'd server re-admits incomplete jobs at the next boot and resumes them from their streaming checkpoints (empty disables async jobs)")
+		jobsDir    = flag.String("jobs-dir", "", "async job directory: enables POST /v1/jobs with a crash-safe journal here — a SIGKILL'd server re-admits incomplete jobs at the next boot, and a job on a stored file-backed dataset resumes its kept partition from -data-dir (empty disables async jobs)")
 		jobWorkers = flag.Int("job-workers", 2, "async job worker pool size")
 		quotaData  = flag.Int("tenant-quota-datasets", 0, "datasets one tenant may hold (0 = unlimited)")
 		quotaBytes = flag.Int64("tenant-quota-bytes", 0, "resident bytes one tenant's datasets may occupy (0 = unlimited)")
@@ -159,7 +159,7 @@ type setupConfig struct {
 	fleetBreakerCooldown  time.Duration // -fleet-breaker-cooldown
 	fleetHedgeAfter       time.Duration // -fleet-hedge-after
 
-	jobsDir string // -jobs-dir: crash-safe async job journal + scratch
+	jobsDir string // -jobs-dir: crash-safe async job journal and results
 }
 
 // parseWeights parses the -tenant-weights "name=w,name=w" list.

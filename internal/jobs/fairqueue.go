@@ -1,7 +1,7 @@
 // Package jobs is the crash-safe asynchronous job subsystem behind
 // dmcserve's /v1/jobs API: long mines run detached from any HTTP
-// request, survive a SIGKILL of the server, and resume from their
-// streaming checkpoints at the next boot.
+// request, survive a SIGKILL of the server, and run again at the next
+// boot, where the serving layer replays what their first pass kept.
 //
 // The pieces, each its own file:
 //
@@ -19,9 +19,8 @@
 //   - manager.go: the Manager tying them together — validation,
 //     durable submission, a worker pool executing jobs through an
 //     injected Runner with full-jitter retry around transient
-//     failures, per-job checkpoint directories, content-addressed
-//     result blobs, and boot-time replay that re-admits incomplete
-//     jobs and sweeps orphaned scratch.
+//     failures, content-addressed result blobs, and boot-time replay
+//     that re-admits incomplete jobs.
 package jobs
 
 import (

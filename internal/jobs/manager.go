@@ -65,8 +65,9 @@ type Job struct {
 	// Attempts counts execution sessions (boot re-admissions included;
 	// the full-jitter transient retries inside a session do not bump it).
 	Attempts int `json:"attempts,omitempty"`
-	// Resumed reports that the last session picked up a streaming
-	// checkpoint instead of partitioning from scratch.
+	// Resumed reports that the last session ran no partition pass: it
+	// replayed its file-backed dataset's kept partition, one built
+	// earlier in this process or resumed from disk after a restart.
 	Resumed bool `json:"resumed,omitempty"`
 
 	CreatedNS  int64 `json:"created_ns"`
@@ -76,20 +77,10 @@ type Job struct {
 
 // RunEnv is what the Manager hands a Runner besides the job itself.
 type RunEnv struct {
-	// CheckpointDir is the job's private scratch directory: streaming
-	// mines wire it into stream.Config.CheckpointDir so a killed run
-	// leaves a resumable checkpoint behind.
-	CheckpointDir string
-	// Resume asks the engine to pick up a valid checkpoint in
-	// CheckpointDir (always safe: an invalid checkpoint partitions
-	// afresh).
-	Resume bool
-	// Attempt is the 1-based execution session number.
-	Attempt int
 	// Publish emits a progress event; Job/Seq/Attempt are stamped by
 	// the manager. Never blocks.
 	Publish func(Event)
-	// OnResume records that this session actually resumed a checkpoint.
+	// OnResume records that this session ran no partition pass.
 	OnResume func()
 }
 
@@ -177,7 +168,6 @@ type jobMetrics struct {
 	resumed     obs.Counter
 	requeued    obs.Counter
 	dropped     obs.Counter
-	orphans     obs.Counter
 	compactions obs.Counter
 	records     obs.Gauge
 	duration    obs.Histogram
@@ -197,13 +187,11 @@ func newJobMetrics(reg *obs.Registry) *jobMetrics {
 		queued: reg.Gauge("dmc_jobs_queued",
 			"Jobs waiting in the weighted-fair queue."),
 		resumed: reg.Counter("dmc_jobs_resumed_total",
-			"Job sessions that picked up a streaming checkpoint instead of partitioning afresh."),
+			"Job sessions that ran no partition pass: they replayed their dataset's kept partition, built earlier in the process or resumed from disk."),
 		requeued: reg.Counter("dmc_jobs_requeued_total",
 			"Incomplete jobs re-admitted by journal replay at boot."),
 		dropped: reg.Counter("dmc_jobs_events_dropped_total",
 			"SSE subscribers dropped for not draining their bounded event buffer."),
-		orphans: reg.Counter("dmc_jobs_orphans_swept_total",
-			"Orphaned per-job scratch directories removed at boot."),
 		compactions: reg.Counter("dmc_jobs_compactions_total",
 			"JOBS journal compactions."),
 		records: reg.Gauge("dmc_jobs_journal_records",
@@ -240,9 +228,9 @@ type Manager struct {
 
 // Open recovers (creating if needed) the job table at dir: sweeps
 // crash debris, replays the JOBS journal with torn-tail repair,
-// re-admits incomplete jobs into the weighted-fair queue, sweeps
-// scratch directories no incomplete job owns, and garbage-collects
-// unreferenced result blobs. Workers do not run until Start.
+// re-admits incomplete jobs into the weighted-fair queue, and
+// garbage-collects unreferenced result blobs. Workers do not run until
+// Start.
 func Open(dir string, opts Options) (*Manager, error) {
 	m := &Manager{
 		dir:        dir,
@@ -257,11 +245,11 @@ func Open(dir string, opts Options) (*Manager, error) {
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.hub = newEventHub(opts.EventBuffer, m.met.dropped.Inc)
-	for _, d := range []string{dir, m.resultsDir(), m.scratchRoot()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
+	if err := os.MkdirAll(m.resultsDir(), 0o755); err != nil {
+		return nil, err
 	}
+	// scratch/ held per-job checkpoints before jobs replayed kept partitions.
+	os.RemoveAll(filepath.Join(dir, "scratch"))
 	sweepTmp(dir)
 	sweepTmp(m.resultsDir())
 
@@ -280,7 +268,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 
 	// Re-admit incomplete jobs, oldest first so recovery preserves
 	// rough submission order; a job the journal last saw "running" was
-	// interrupted by the crash and resumes from its checkpoint.
+	// interrupted by the crash and runs again.
 	incomplete := make([]*Job, 0)
 	for _, j := range m.jobs {
 		if !j.State.Terminal() {
@@ -294,7 +282,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		m.met.requeued.Inc()
 	}
 
-	m.sweepOrphans()
 	m.gcResultsLocked()
 	m.gauges()
 	return m, nil
@@ -302,36 +289,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 
 func (m *Manager) journalPath() string { return filepath.Join(m.dir, "JOBS") }
 func (m *Manager) resultsDir() string  { return filepath.Join(m.dir, "results") }
-func (m *Manager) scratchRoot() string { return filepath.Join(m.dir, "scratch") }
-
-// CheckpointDir is the named job's private scratch directory (streaming
-// checkpoints, spill segments). Created on demand by the run loop.
-func (m *Manager) CheckpointDir(id string) string {
-	return filepath.Join(m.scratchRoot(), id)
-}
-
-// Dir returns the manager's data directory.
-func (m *Manager) Dir() string { return m.dir }
-
-// sweepOrphans removes scratch directories that no live incomplete job
-// owns: a job that died terminal (or was pruned, or predates a journal
-// wipe) must not leak its checkpoint segments across restarts.
-// Incomplete jobs keep theirs — that is the resume state.
-func (m *Manager) sweepOrphans() {
-	des, err := os.ReadDir(m.scratchRoot())
-	if err != nil {
-		return
-	}
-	for _, de := range des {
-		j, ok := m.jobs[de.Name()]
-		if ok && !j.State.Terminal() {
-			continue
-		}
-		if os.RemoveAll(filepath.Join(m.scratchRoot(), de.Name())) == nil {
-			m.met.orphans.Inc()
-		}
-	}
-}
 
 // gcResultsLocked removes result blobs no live job references —
 // superseded by pruning, or orphaned by a crash between blob commit
@@ -652,13 +609,8 @@ func (m *Manager) worker() {
 func (m *Manager) execute(ctx context.Context, cancel context.CancelFunc, j Job) {
 	defer cancel()
 	start := time.Now()
-	ckpt := m.CheckpointDir(j.ID)
-	_ = os.MkdirAll(ckpt, 0o755)
 	resumed := false
 	env := RunEnv{
-		CheckpointDir: ckpt,
-		Resume:        true,
-		Attempt:       j.Attempts,
 		Publish: func(ev Event) {
 			ev.Job, ev.Attempt = j.ID, j.Attempts
 			m.mu.Lock()
@@ -719,8 +671,7 @@ func (m *Manager) execute(ctx context.Context, cancel context.CancelFunc, j Job)
 }
 
 // finalizeLocked journals a terminal transition (the commit point),
-// then publishes it, frees the job's scratch directory, and updates
-// the counters. The journal write failing leaves the job incomplete —
+// then publishes it and updates the counters. The journal write failing leaves the job incomplete —
 // re-admitted at the next boot, which is the safe direction.
 func (m *Manager) finalizeLocked(j *Job, st State, errMsg, result string, nrules int) error {
 	cp := *j
@@ -732,9 +683,6 @@ func (m *Manager) finalizeLocked(j *Job, st State, errMsg, result string, nrules
 	*j = cp
 	m.met.finished.With(string(st)).Inc()
 	m.publishLocked(stateEvent(j), true)
-	// Terminal jobs never resume; their checkpoint segments are pure
-	// debris from here on.
-	os.RemoveAll(m.CheckpointDir(j.ID))
 	m.maybeCompactLocked()
 	m.gauges()
 	return nil

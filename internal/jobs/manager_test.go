@@ -63,7 +63,8 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestJobRunsToDone(t *testing.T) {
 	payload := []byte("dmcrules imp 1 2\n0 1 5 4\n1 0 5 5\n")
-	m, err := Open(t.TempDir(), Options{
+	dir := t.TempDir()
+	m, err := Open(dir, Options{
 		Run: func(ctx context.Context, j Job, env RunEnv) ([]byte, int, error) {
 			env.Publish(Event{Type: EventPhase, Phase: "count", Pipeline: j.Params.Pipeline})
 			return payload, 2, nil
@@ -93,9 +94,10 @@ func TestJobRunsToDone(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("result payload %q", got)
 	}
-	// Terminal job's scratch directory must be gone.
-	if _, err := os.Stat(m.CheckpointDir(j.ID)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("scratch dir survives completion: %v", err)
+	// A job keeps no scratch of its own: its mine replays the dataset's
+	// kept partition.
+	if _, err := os.Stat(filepath.Join(dir, "scratch")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the job directory holds a scratch tree: %v", err)
 	}
 }
 
@@ -307,10 +309,12 @@ func TestRestartReadmitsIncompleteJobs(t *testing.T) {
 	waitState(t, m2, "t", jQueued.ID, StateDone)
 }
 
-// TestOrphanScratchSweep is the boot-sweep regression test: scratch
-// directories of terminal and unknown jobs are removed at Open, while
-// an incomplete job's checkpoint (its resume state) survives.
-func TestOrphanScratchSweep(t *testing.T) {
+// TestOpenRemovesJobScratch is the upgrade from per-job checkpoints:
+// a job directory whose scratch/ holds checkpoints, as an older server
+// wrote them for an incomplete job, a finished one and an unknown id,
+// loses the whole tree at Open, and the incomplete job still runs to
+// done.
+func TestOpenRemovesJobScratch(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{Run: nopRunner})
 	if err != nil {
@@ -329,32 +333,32 @@ func TestOrphanScratchSweep(t *testing.T) {
 	jLive, _ := m.Submit("t", Params{Dataset: "d", Pipeline: "imp", Threshold: 90})
 	m.Close()
 
-	// Fabricate crash debris: a scratch dir for the done job (as if the
-	// crash hit between finalize-journal and RemoveAll), one for an id
-	// the journal has never heard of, and one for the live queued job
-	// (a real checkpoint that must survive).
 	for _, id := range []string{jDone.ID, "deadbeefdeadbeefdeadbeefdeadbeef", jLive.ID} {
 		d := filepath.Join(dir, "scratch", id)
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(d, "MANIFEST.json"), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"MANIFEST.json", "bucket-00.rows", "bucket-01.rows.tmp"} {
+			if err := os.WriteFile(filepath.Join(d, name), []byte("{}"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
 	m, err = Open(dir, Options{Run: nopRunner})
 	if err != nil {
-		t.Fatalf("reopen after debris: %v", err)
+		t.Fatalf("reopen over a scratch tree: %v", err)
 	}
 	defer m.Close()
-	for _, id := range []string{jDone.ID, "deadbeefdeadbeefdeadbeefdeadbeef"} {
-		if _, err := os.Stat(filepath.Join(dir, "scratch", id)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("orphan scratch %s not swept", id)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "scratch")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("scratch/ survives Open: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "scratch", jLive.ID, "MANIFEST.json")); err != nil {
-		t.Fatalf("live job's checkpoint swept: %v", err)
+	m.Start()
+	if j := waitState(t, m, "t", jLive.ID, StateDone); j.Attempts != 1 || j.Resumed {
+		t.Fatalf("the incomplete job ended %+v, want one unresumed session", j)
+	}
+	if _, err := m.Result("t", jLive.ID); err != nil {
+		t.Fatalf("result of the incomplete job: %v", err)
 	}
 }
 

@@ -39,7 +39,8 @@ func ExtendBaskets(m *Matrix, r io.Reader) (*Matrix, error) {
 		ids[l] = Col(i)
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	// The buffer starts at the scanner's 4 KiB; a line may reach 64 MiB.
+	sc.Buffer(nil, 1<<26)
 	b := NewBuilder(m.cols)
 	var row []Col
 	for sc.Scan() {

@@ -19,12 +19,13 @@ import (
 // are simply never looked up again and age out of the LRU.
 //
 // Append-only growth rides the same identity: POST rows re-keys the
-// dataset under its grown content address. The grown registration also
-// holds its miss counters (dataset.inc, a core.Incremental): the append
-// folds its batch into a copy of the base's, so the first mine of the
-// grown dataset derives its rules from them in O(pairs) instead of
-// rescanning every row. The counters are never encoded or cached; a
-// restart loses them, and the first append after it builds them again.
+// dataset under its grown content address. Whether or not the server
+// has a cache, the grown registration also holds its miss counters
+// (dataset.inc, a core.Incremental) where they fit: the append folds
+// its batch into a copy of the base's, so the first mine of the grown
+// dataset derives its rules from them in O(pairs) instead of rescanning
+// every row. The counters are never encoded or cached; a restart loses
+// them, and the first append after it builds them again.
 
 // paramsKey canonicalizes the parameters that determine a rule set.
 // workers only changes the schedule and limit only truncates the
@@ -58,11 +59,11 @@ type AppendResponse struct {
 }
 
 // handleAppend implements POST /v1/datasets/{name}/rows: basket lines
-// in the body are appended to a resident dataset. On a cached server
-// the grown dataset holds miss counters where they fit (counts): the
-// base's, with only the new rows folded into a copy — the paper's
-// counters are resumable, which is the whole point — or, when the base
-// holds none, counters built in one scan. Either way the grown dataset
+// in the body are appended to a resident dataset. The grown dataset
+// holds miss counters where they fit (counts): the base's, with only
+// the new rows folded into a copy — the paper's counters are
+// resumable, which is the whole point — or, when the base holds none,
+// counters built in one scan. Either way the grown dataset
 // is committed to the store before it becomes visible.
 // Ownership and the tenant byte quota are enforced as for a PUT of the
 // grown dataset; the counters it holds count toward that quota.
@@ -125,14 +126,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Counters are derived state, like cached rules: only a server
-	// configured with a cache holds them. A cacheless one scans each
-	// mine of the grown dataset through its memo.
-	var inc *core.Incremental
-	resumed := false
-	if s.rc != nil {
-		inc, resumed = s.counts(d, grown, min(size, s.byteRoom(tenant, name)-size))
-	}
+	inc, resumed := s.counts(d, grown, min(size, s.byteRoom(tenant, name)-size))
 
 	inf := DatasetInfo{Name: name, Rows: grown.NumRows(), Cols: grown.NumCols(), Ones: ones, Labeled: grown.Labels() != nil}
 	var hash string

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dmc/internal/cache"
+	"dmc/internal/core"
 	"dmc/internal/matrix"
 	"dmc/internal/obs"
 	"dmc/internal/store"
@@ -739,6 +740,9 @@ func TestAppendTenantRules(t *testing.T) {
 				e, _ := s.st.Get("d")
 				want = e.Size
 			}
+			if d.inc != nil { // an append's counters are billed with the dataset
+				want += int64(d.inc.Pairs()) * core.PairBytes
+			}
 			if d.bytes != want {
 				t.Fatalf("quota bill = %d bytes, want %d", d.bytes, want)
 			}
@@ -746,32 +750,39 @@ func TestAppendTenantRules(t *testing.T) {
 	}
 }
 
-// TestCachelessAppendParity: without a cache the append neither builds
-// miss counters nor hashes the grown matrix — and mines of the grown
-// dataset still equal a fresh server's.
+// TestCachelessAppendParity: counters are decided by the input, not by
+// the cache. Without a cache the first append builds miss counters
+// (incremental: false) and a second one folds into them (true); every
+// mine of the grown dataset, twice over, is a derivation from them
+// whose bytes equal a fresh server's. No hash is computed.
 func TestCachelessAppendParity(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	doPut(t, ts.URL, "d", basketBody)
-	appendBody := "bread butter jam\nbread tea\nscone butter\nscone jam butter\n"
-	if r := doAppendJSON(t, ts.URL, "d", appendBody); r.Incremental || r.Rows != 14 {
-		t.Fatalf("append response = %+v", r)
-	}
-	if d, _ := s.get("d"); d.hash != "" {
-		t.Fatalf("cacheless append hashed the grown matrix: %q", d.hash)
-	}
-
-	ref := New()
-	ref.Add("d", mustParseBaskets(t, basketBody+appendBody))
-	tsRef := httptest.NewServer(ref.Handler())
-	t.Cleanup(tsRef.Close)
-	for _, q := range []string{"implications?threshold=80", "similarities?threshold=60"} {
-		var got, want minedReply
-		getJSON(t, ts.URL+"/v1/datasets/d/"+q, http.StatusOK, &got)
-		getJSON(t, tsRef.URL+"/v1/datasets/d/"+q, http.StatusOK, &want)
-		if got.Source != "" || got.Total != want.Total || string(got.Rules) != string(want.Rules) {
-			t.Fatalf("%s after a cacheless append:\n%+v\nfresh server:\n%+v", q, got, want)
+	body := basketBody
+	for i, batch := range []string{
+		"bread butter jam\nbread tea\nscone butter\nscone jam butter\n",
+		"tea scone\nbread butter scone\n",
+	} {
+		body += batch
+		if r := doAppendJSON(t, ts.URL, "d", batch); r.Incremental != (i > 0) || r.Rows != strings.Count(body, "\n") {
+			t.Fatalf("append %d response = %+v", i, r)
 		}
+		if d, _ := s.get("d"); d.hash != "" || d.inc == nil {
+			t.Fatalf("append %d: hash %q, counters held %v", i, d.hash, d.inc != nil)
+		}
+		ref := New()
+		ref.Add("d", mustParseBaskets(t, body))
+		tsRef := httptest.NewServer(ref.Handler())
+		for _, q := range []string{"implications?threshold=80", "similarities?threshold=60", "implications?threshold=80"} {
+			var got, want minedReply
+			getJSON(t, ts.URL+"/v1/datasets/d/"+q, http.StatusOK, &got)
+			getJSON(t, tsRef.URL+"/v1/datasets/d/"+q, http.StatusOK, &want)
+			if got.Source != "incremental" || got.Total != want.Total || string(got.Rules) != string(want.Rules) {
+				t.Fatalf("append %d, %s on a cacheless server:\n%+v\nfresh server:\n%+v", i, q, got, want)
+			}
+		}
+		tsRef.Close()
 	}
 }

@@ -2,9 +2,10 @@
 // internal/jobs manager. A POST validates the mine against the tenant's
 // dataset catalog, journals it durably, and returns 202 with the job id
 // — the mine itself runs on the job worker pool, streaming progress
-// over SSE, committing its result as a content-addressed blob, and
-// surviving a server SIGKILL by resuming from its streaming checkpoint
-// at the next boot.
+// over SSE and committing its result as a content-addressed blob. A
+// server SIGKILL leaves the job journaled; the next boot runs it again,
+// and a job on a stored file-backed dataset then resumes the dataset's
+// kept partition from disk instead of partitioning again.
 //
 //	POST /v1/jobs                  {"dataset","pipeline","threshold",...} → 202 + job
 //	GET  /v1/jobs                  the tenant's jobs, newest first
@@ -35,10 +36,9 @@ import (
 )
 
 // OpenJobs enables the async job subsystem at dir: the JOBS journal is
-// replayed (incomplete jobs re-admitted, orphaned scratch swept) and
-// the worker pool started with this server as the mine runner. Call
-// after LoadStore/LoadDir so re-admitted jobs find their datasets, and
-// before SetReady(true). Close the subsystem with CloseJobs.
+// replayed (incomplete jobs re-admitted) and the worker pool started
+// with this server as the mine runner. Call after LoadStore/LoadDir so
+// re-admitted jobs find their datasets, and before SetReady(true).
 func (s *Server) OpenJobs(dir string) error {
 	if s.jm != nil {
 		return errors.New("server: jobs already open")
@@ -66,10 +66,6 @@ func (s *Server) CloseJobs() error {
 	}
 	return s.jm.Close()
 }
-
-// Jobs exposes the manager to the embedding binary (tests, operator
-// tooling). Nil until OpenJobs.
-func (s *Server) Jobs() *jobs.Manager { return s.jm }
 
 // jobsEnabled answers the common guard: 503 when the subsystem is not
 // configured.
@@ -330,11 +326,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // and returns the canonical dmcrules payload. A cached result, or one
 // derived from the dataset's miss counters, costs no scan (and
 // publishes no phase or stats frames); a scan's result warms the
-// cache. Streamed datasets wire the job's scratch directory into the
-// out-of-core engine's checkpoint machinery, which is what makes a
-// SIGKILL'd session resumable. The payload is rendered deterministically — canonical
-// sort, fixed text format — so a resumed session is byte-identical to
-// an uninterrupted one.
+// cache. A file-backed dataset's scan replays its kept partition, as an
+// HTTP mine does; env.OnResume fires when the session ran no partition
+// pass. The payload is rendered deterministically — canonical sort,
+// fixed text format — so a resumed session is byte-identical to an
+// uninterrupted one.
 func (s *Server) runJob(ctx context.Context, j jobs.Job, env jobs.RunEnv) ([]byte, int, error) {
 	d, ok := s.getFor(j.Tenant, j.Params.Dataset)
 	if !ok {
@@ -363,7 +359,7 @@ func runJobMine[R, W any](ctx context.Context, s *Server, pl *pipeline[R, W], d 
 		return true
 	}
 	sc := s.streamCfg(j.Params.Workers)
-	sc.CheckpointDir, sc.Resume, sc.OnResume = env.CheckpointDir, env.Resume, env.OnResume
+	sc.OnResume = env.OnResume
 	p := params{threshold: j.Params.Threshold, minSupport: j.Params.MinSupport, workers: j.Params.Workers}
 	rs, _, ok := ladder(s, pl, d, p, run, sc)
 	if !ok {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -15,53 +17,46 @@ import (
 	"dmc/internal/stream"
 )
 
-// Kept partitions: the first streamed mine of a file-backed dataset
-// partitions its file into the §4.1 density buckets under the scratch
-// directory — the paper's first pass, which reads no threshold — and
-// keeps the segments. Every later mine replays them through a
-// core.Prepared whose memo holds each family's 100% rules, so it runs
-// only the step-3 cutoff and the <100% phase, exactly as a resident
-// dataset's mine does.
+// Kept partitions: the first streamed mine or job of a file-backed
+// dataset partitions its file into the §4.1 density buckets — the
+// paper's first pass, which reads no threshold — and keeps the
+// segments. Later ones replay them through a core.Prepared whose memo
+// holds each family's 100% rules, as a resident dataset's mine does.
 //
-// A kept partition serves its registration only while the file is the
-// one it was built from. A store blob is immutable and named by its
-// content hash, so its partition stays valid for the registration's
-// life. An AddFile path can be rewritten: its partition is reused only
-// while the file's identity (inode, size, mtime) is the one captured
-// before the build read it, and only if that mtime was already
-// racyMargin older than the build's start. Otherwise the file is
-// partitioned again, with a fresh memo.
+// A store blob is immutable and named by its content hash, so its
+// partition serves the registration's whole life. It is durable: a
+// stream checkpoint (segments, then MANIFEST.json, each by
+// tmp+fsync+rename) in a directory of its own under the store's kept/,
+// named by the hash. It outlives Run; LoadStore adopts it at the next
+// boot, and the first build resumes it. Any other partition (AddFile,
+// LoadDir, no store) is a temporary directory under the scratch
+// directory, reused only while the file's identity (inode, size,
+// mtime) is the one captured before the build read it and that mtime
+// was racyMargin older than the build's start.
 //
 // Concurrent mines share one committed segment set, each replaying it
-// under its own context. A rebuild writes a new directory; the old one
-// is removed when its last reader leaves. No partition outlives its
-// registration or the server's Run, and a build that runs out of disk
-// evicts idle partitions, least recently used first, and retries once.
+// under its own context. A rebuild writes a new directory; the old one,
+// like a partition whose registration ends, is removed when its last
+// reader leaves. A build that runs out of disk evicts idle partitions,
+// least recently used first, and retries once.
 
 // racyMargin is how much older than a build's start an AddFile input's
-// mtime must be for the build to serve later mines. A rewrite that
-// keeps the size and lands in the mtime tick of the version the build
-// read leaves the identity unchanged; git's index distrusts such
-// "racy" entries the same way. Two seconds covers FAT's two-second
-// mtime, the one-second mtime of ext3 and HFS+, and the coarse kernel
-// clock that stamps nanosecond filesystems.
+// mtime must be for the build to serve later mines: a same-size rewrite
+// in the mtime tick the build read keeps the identity (git's "racy"
+// entries). It covers FAT's two-second mtime, ext3's and HFS+'s one
+// second, and the coarse clock that stamps nanosecond filesystems.
 const racyMargin = 2 * time.Second
-
-// errSlotClosed answers a mine whose dataset registration has ended:
-// it partitions for itself instead of building a partition nothing
-// would remove.
-var errSlotClosed = errors.New("server: dataset registration ended")
 
 // keptSet is a server's kept partitions.
 type keptSet struct {
 	mu    sync.Mutex
 	slots map[*partSlot]struct{} // open slots: registered file-backed datasets
+	// dir holds stored blobs' durable partitions; "" without a store.
+	dir string
 
 	bytes  obs.Gauge
 	reuses obs.Counter
-	// fs, when set, routes the builds' spill files (tests inject
-	// faults here).
-	fs fault.FS
+	fs     fault.FS // when set, routes the builds' files (tests inject faults)
 }
 
 // partSlot is one file-backed registration's kept partition. Its fields
@@ -74,11 +69,14 @@ type partSlot struct {
 	closed   bool
 }
 
-// keptPart is one committed segment set and its memo.
+// keptPart is one committed segment set and its memo, or, with part
+// nil, a durable partition adopted at boot that no build has resumed.
 type keptPart struct {
-	part *stream.Partitioned
-	prep *core.Prepared
-	id   stream.Identity // an AddFile input's identity before the build read it
+	part  *stream.Partitioned
+	prep  *core.Prepared
+	id    stream.Identity // an AddFile input's identity before the build read it
+	dir   string          // a durable partition's, which remove deletes; "" otherwise
+	bytes int64
 
 	// Guarded by keptSet.mu.
 	refs    int       // mines replaying it
@@ -106,7 +104,8 @@ func (ks *keptSet) open() *partSlot {
 }
 
 // close ends sl's registration: its partition is removed once no mine
-// replays it, and later mines get errSlotClosed. Safe on nil.
+// replays it, and a later mine's partition serves that mine alone.
+// Safe on nil.
 func (ks *keptSet) close(sl *partSlot) {
 	if sl == nil {
 		return
@@ -119,11 +118,14 @@ func (ks *keptSet) close(sl *partSlot) {
 	ks.remove(dead)
 }
 
-// closeAll ends every open slot.
+// closeAll ends every open slot; durable partitions stay on disk.
 func (ks *keptSet) closeAll() {
 	ks.mu.Lock()
 	var dead []*keptPart
 	for sl := range ks.slots {
+		if sl.cur != nil {
+			sl.cur.dir = ""
+		}
 		sl.closed = true
 		delete(ks.slots, sl)
 		dead = append(dead, ks.dropLocked(sl)...)
@@ -133,35 +135,39 @@ func (ks *keptSet) closeAll() {
 }
 
 // acquire returns d's partition for one mine, building it first when
-// none is current, with a reference that release gives back. cfg sets
-// the build's fan-out and spill directory; the build runs under ctx. A
-// mine that finds a build in flight waits for it and looks again, so a
-// waiter whose builder failed or was cancelled builds for itself.
-func (ks *keptSet) acquire(ctx context.Context, d *dataset, cfg stream.Config) (*keptPart, error) {
+// none is current, with a reference that release gives back, and
+// whether this mine ran a partition pass (a build that resumed one from
+// disk ran none). cfg sets the build's fan-out and spill directory; the
+// build runs under ctx. A mine that finds a build in flight waits for
+// it and looks again, so a waiter whose builder failed or was cancelled
+// builds for itself.
+func (ks *keptSet) acquire(ctx context.Context, d *dataset, cfg stream.Config) (*keptPart, bool, error) {
 	sl := d.slot
 	for {
 		var id stream.Identity
 		if d.hash == "" {
 			var err error
 			if id, err = stream.Identify(d.path); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		}
 		ks.mu.Lock()
-		if sl.closed {
-			ks.mu.Unlock()
-			return nil, errSlotClosed
-		}
 		var dead []*keptPart
+		adopted := ""
 		if k := sl.cur; k != nil {
-			if d.hash != "" || k.id.Same(id) {
+			switch {
+			case k.part == nil: // the build resumes it
+				adopted, sl.cur = k.dir, nil
+				ks.bytes.Add(-k.bytes)
+			case d.hash != "" || k.id.Same(id):
 				k.refs++
 				k.used = time.Now()
 				ks.mu.Unlock()
 				ks.reuses.Inc()
-				return k, nil
+				return k, false, nil
+			default:
+				dead = ks.dropLocked(sl) // the file changed under it
 			}
-			dead = ks.dropLocked(sl) // the file changed under it
 		}
 		if wait := sl.building; wait != nil {
 			ks.mu.Unlock()
@@ -170,7 +176,7 @@ func (ks *keptSet) acquire(ctx context.Context, d *dataset, cfg stream.Config) (
 			case <-wait:
 				continue
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, false, ctx.Err()
 			}
 		}
 		done := make(chan struct{})
@@ -178,13 +184,15 @@ func (ks *keptSet) acquire(ctx context.Context, d *dataset, cfg stream.Config) (
 		ks.mu.Unlock()
 		ks.remove(dead)
 
-		k, trusted, err := ks.build(ctx, d, id, cfg)
+		resumed := false
+		cfg.OnResume = func() { resumed = true }
+		k, trusted, err := ks.build(ctx, d, id, cfg, adopted)
 		ks.mu.Lock()
 		sl.building = nil
 		close(done)
 		if err != nil {
 			ks.mu.Unlock()
-			return nil, err
+			return nil, false, err
 		}
 		k.refs, k.used = 1, time.Now()
 		if trusted && !sl.closed {
@@ -193,20 +201,31 @@ func (ks *keptSet) acquire(ctx context.Context, d *dataset, cfg stream.Config) (
 			k.retired = true // serves this mine only
 		}
 		ks.mu.Unlock()
-		return k, nil
+		return k, !resumed, nil
 	}
 }
 
 // build partitions d's file under ctx and reports whether the result
 // may serve later mines: a store blob's always may, an AddFile input's
 // only if its identity held through the build and its mtime was
-// racyMargin older than the build's start. A build that fails for want
-// of disk evicts idle partitions and, if that freed any, runs once more.
-func (ks *keptSet) build(ctx context.Context, d *dataset, id stream.Identity, cfg stream.Config) (*keptPart, bool, error) {
+// racyMargin older than the build's start. A store blob's build is a
+// checkpoint in dir (adopted at boot, resumed if valid) or in a new
+// directory, removed if the build fails. A build that fails for want of
+// disk evicts idle partitions and, if that freed any, runs once more.
+func (ks *keptSet) build(ctx context.Context, d *dataset, id stream.Identity, cfg stream.Config, dir string) (*keptPart, bool, error) {
 	start := time.Now()
 	cfg.Ctx = ctx
 	if ks.fs != nil {
 		cfg.FS = ks.fs
+	}
+	if d.hash != "" && ks.dir != "" {
+		if dir == "" {
+			var err error
+			if dir, err = os.MkdirTemp(ks.dir, d.hash+"-"); err != nil {
+				return nil, false, err
+			}
+		}
+		cfg.CheckpointDir, cfg.Resume = dir, true
 	}
 	part, err := stream.PartitionWith(d.path, cfg)
 	if errors.Is(err, syscall.ENOSPC) {
@@ -216,10 +235,13 @@ func (ks *keptSet) build(ctx context.Context, d *dataset, id stream.Identity, cf
 		}
 	}
 	if err != nil {
+		if dir != "" {
+			os.RemoveAll(dir)
+		}
 		return nil, false, err
 	}
 	ks.bytes.Add(part.Bytes())
-	k := &keptPart{part: part, prep: core.PrepareSource(part, part.Ones()), id: id}
+	k := &keptPart{part: part, prep: core.PrepareSource(part, part.Ones()), id: id, dir: dir, bytes: part.Bytes()}
 	if d.hash != "" {
 		return k, true, nil
 	}
@@ -227,27 +249,20 @@ func (ks *keptSet) build(ctx context.Context, d *dataset, id stream.Identity, cf
 	return k, err == nil && id.Same(now) && id.ModTime().Before(start.Add(-racyMargin)), nil
 }
 
-// release gives back a reference acquire took.
-func (ks *keptSet) release(k *keptPart) {
+// release gives back a reference acquire took from sl. broken also
+// stops sl from serving k, if it still does: the next mine partitions
+// the file again.
+func (ks *keptSet) release(sl *partSlot, k *keptPart, broken bool) {
 	ks.mu.Lock()
 	k.refs--
+	if broken && sl.cur == k {
+		ks.dropLocked(sl)
+	}
 	dead := k.retired && k.refs == 0
 	ks.mu.Unlock()
 	if dead {
 		ks.remove([]*keptPart{k})
 	}
-}
-
-// retire stops sl from serving k, if it still does: the next mine
-// partitions the file again.
-func (ks *keptSet) retire(sl *partSlot, k *keptPart) {
-	ks.mu.Lock()
-	var dead []*keptPart
-	if sl.cur == k {
-		dead = ks.dropLocked(sl)
-	}
-	ks.mu.Unlock()
-	ks.remove(dead)
 }
 
 // evict retires idle current partitions, least recently used first,
@@ -268,7 +283,7 @@ func (ks *keptSet) evict(need int64) int64 {
 		if freed >= need {
 			break
 		}
-		freed += sl.cur.part.Bytes()
+		freed += sl.cur.bytes
 		dead = append(dead, ks.dropLocked(sl)...)
 	}
 	ks.mu.Unlock()
@@ -294,7 +309,50 @@ func (ks *keptSet) dropLocked(sl *partSlot) []*keptPart {
 // remove deletes retired partitions that no mine replays.
 func (ks *keptSet) remove(dead []*keptPart) {
 	for _, k := range dead {
-		k.part.Close()
-		ks.bytes.Add(-k.part.Bytes())
+		if k.part != nil {
+			k.part.Close()
+		}
+		if k.dir != "" {
+			os.RemoveAll(k.dir)
+		}
+		ks.bytes.Add(-k.bytes)
 	}
+}
+
+// adopt hands each of ds, the stored file-backed datasets LoadStore
+// registered, a partition an earlier run built from its blob and
+// committed, for its first build to resume. Every other entry under the
+// kept directory goes: partitions of deleted, replaced or now resident
+// datasets, and builds cut off before their manifest.
+func (ks *keptSet) adopt(ds []*dataset) {
+	wants := map[string][]*dataset{}
+	for _, d := range ds {
+		wants[d.hash] = append(wants[d.hash], d)
+	}
+	ents, _ := os.ReadDir(ks.dir)
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	for _, e := range ents {
+		dir := filepath.Join(ks.dir, e.Name())
+		hash := e.Name()[:max(strings.LastIndexByte(e.Name(), '-'), 0)] // MkdirTemp's suffix off
+		_, err := os.Stat(filepath.Join(dir, "MANIFEST.json"))
+		if want := wants[hash]; err == nil && len(want) > 0 {
+			want[0].slot.cur = &keptPart{dir: dir, bytes: dirBytes(dir)}
+			ks.bytes.Add(want[0].slot.cur.bytes)
+			wants[hash] = want[1:]
+		} else {
+			os.RemoveAll(dir)
+		}
+	}
+}
+
+// dirBytes is the size of dir's spill segments, as Partitioned.Bytes.
+func dirBytes(dir string) (n int64) {
+	segs, _ := filepath.Glob(filepath.Join(dir, "bucket-*.rows"))
+	for _, seg := range segs {
+		if fi, err := os.Stat(seg); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
 }

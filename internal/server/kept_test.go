@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,11 +14,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dmc/internal/core"
 	"dmc/internal/fault"
+	"dmc/internal/jobs"
 	"dmc/internal/matrix"
 	"dmc/internal/obs"
 	"dmc/internal/rules"
@@ -28,11 +31,15 @@ import (
 // streamPartitions is the stream package's dmc_stream_partitions_total.
 var streamPartitions = obs.Default.Counter("dmc_stream_partitions_total", "")
 
-// keptMatrix is memoBaskets(seed) without its labels, so a resident
-// server renders its columns as c<id>, as a file-backed one does.
+// keptMatrix is memoBaskets(seed) without its labels.
 func keptMatrix(t *testing.T, seed int64) *matrix.Matrix {
 	t.Helper()
-	m := mustParseBaskets(t, memoBaskets(seed))
+	return unlabeled(mustParseBaskets(t, memoBaskets(seed)))
+}
+
+// unlabeled is m without its labels, so a resident server renders its
+// columns as c<id>, as a file-backed one does.
+func unlabeled(m *matrix.Matrix) *matrix.Matrix {
 	rows := make([][]matrix.Col, m.NumRows())
 	for i := range rows {
 		rows[i] = m.Row(i)
@@ -308,16 +315,66 @@ func waitIdle(t *testing.T, s *Server) {
 // TestKeptConcurrentMines: mines share one kept partition, each
 // replaying it under its own context. The builder's request ending and
 // neighbours' requests cancelled mid-flight leave every other reply
-// exact, as do a DELETE and a re-AddFile of the dataset racing the
-// mines (those reply exactly or 404). Once the registrations end, the
-// scratch directory holds no spill directory and no spill file is open.
+// exact, as do a DELETE and a re-registration of the dataset racing the
+// mines (those reply exactly or 404): a re-AddFile of a file, or a
+// re-PUT of a stored blob, whose durable partitions each build writes
+// in a directory of its own. Once the registrations end, the scratch
+// directory holds no spill directory, kept/ at most the last
+// registration's durable partition, and no spill file is open.
 func TestKeptConcurrentMines(t *testing.T) {
-	dir := t.TempDir()
-	st := openTestStore(t, filepath.Join(dir, "store"), store.Options{})
-	m := keptMatrix(t, 1)
-	path := filepath.Join(dir, "d"+matrix.ExtBinary)
-	saveAged(t, path, m, time.Hour)
-	s, ts := keptServer(t, Config{Store: st, MaxConcurrentMines: 4, MaxQueueDepth: -1}, path)
+	for _, stored := range []bool{false, true} {
+		t.Run(map[bool]string{false: "addfile", true: "stored"}[stored], func(t *testing.T) {
+			dir := t.TempDir()
+			st := openTestStore(t, filepath.Join(dir, "store"), store.Options{})
+			m := keptMatrix(t, 1)
+			path := filepath.Join(dir, "d"+matrix.ExtBinary)
+			saveAged(t, path, m, time.Hour)
+			cfg := Config{Store: st, MaxConcurrentMines: 4, MaxQueueDepth: -1}
+			if stored {
+				cfg.StreamMinBytes = 1
+			}
+			s, ts := keptServer(t, cfg, path)
+			register := func() error { return s.AddFile("d", path) }
+			if stored {
+				register = func() error {
+					if resp := doPut(t, ts.URL, "d", memoBaskets(1)); resp.StatusCode != http.StatusCreated {
+						return fmt.Errorf("PUT: status %d", resp.StatusCode)
+					}
+					return nil
+				}
+				if err := register(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			concurrentMines(t, s, ts, m, register)
+			s.kept.closeAll()
+			ents, err := os.ReadDir(st.ScratchDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 0 {
+				t.Fatalf("spill debris after the registrations ended: %v", ents)
+			}
+			kept := keptDirs(t, filepath.Join(dir, "store"))
+			if len(kept) > 1 || len(kept) == 1 && !stored {
+				t.Fatalf("kept/ after the registrations ended: %v", kept)
+			}
+			for _, d := range []string{st.ScratchDir(), filepath.Join(dir, "store", "kept")} {
+				if n := spillFDs(d); n > 0 {
+					t.Fatalf("%d spill files still open under %s", n, d)
+				}
+			}
+			if got := s.kept.bytes.Value(); got != 0 {
+				t.Fatalf("kept-bytes gauge reads %d with nothing kept", got)
+			}
+		})
+	}
+}
+
+// concurrentMines races mines of s's dataset "d" (m, file-backed)
+// against cancellations and, every eighth mine, a DELETE and register.
+func concurrentMines(t *testing.T, s *Server, ts *httptest.Server, m *matrix.Matrix, register func() error) {
+	t.Helper()
 	rts := residentServer(t, m)
 	keys := benchKeys[:6]
 	want := map[string][]byte{}
@@ -371,7 +428,7 @@ func TestKeptConcurrentMines(t *testing.T) {
 			if resp, err := http.DefaultClient.Do(req); err == nil {
 				resp.Body.Close()
 			}
-			if err := s.AddFile("d", path); err != nil {
+			if err := register(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -384,21 +441,6 @@ func TestKeptConcurrentMines(t *testing.T) {
 	waitIdle(t, s)
 	if got := mineBody(t, ts.URL, "d", keys[1]); !bytes.Equal(got, want[keys[1]]) {
 		t.Fatal("mine after the race differs from the resident reply")
-	}
-
-	s.kept.closeAll()
-	ents, err := os.ReadDir(st.ScratchDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("spill debris after the registrations ended: %v", ents)
-	}
-	if n := spillFDs(st.ScratchDir()); n > 0 {
-		t.Fatalf("%d spill files still open", n)
-	}
-	if got := s.kept.bytes.Value(); got != 0 {
-		t.Fatalf("kept-bytes gauge reads %d with nothing kept", got)
 	}
 }
 
@@ -545,4 +587,350 @@ func TestKeptFaultENOSPC(t *testing.T) {
 	}
 	s.kept.fs = nil
 	check("c")
+}
+
+// checkpointWrites is the stream package's dmc_checkpoint_writes_total.
+var checkpointWrites = obs.Default.Counter("dmc_checkpoint_writes_total", "")
+
+// storedServer boots a server over the store at dir, as dmcserve
+// -data-dir does: LoadStore registers every entry of streamMin bytes or
+// more file-backed.
+func storedServer(t *testing.T, dir string, streamMin int64) (*Server, *httptest.Server) {
+	t.Helper()
+	st := openTestStore(t, dir, store.Options{})
+	s := NewWith(Config{Store: st, StreamMinBytes: streamMin, Registry: obs.NewRegistry()})
+	if err := s.LoadStore(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// stop ends s as Run's return does, then closes its store.
+func stop(s *Server, ts *httptest.Server) {
+	ts.Close()
+	s.kept.closeAll()
+	s.st.Close()
+}
+
+// keptDirs lists the partition directories under the store at dir.
+func keptDirs(t *testing.T, dir string) []string {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(dir, "kept", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// TestKeptRestartResumes: a stored streamed dataset's kept partition
+// outlives the server. After mines of both families, a server booted
+// over the same store resumes it: its mines run no partition pass and
+// commit no checkpoint, and reply as a resident server does. From boot,
+// dmc_stream_kept_bytes counts the partition's bytes on disk.
+func TestKeptRestartResumes(t *testing.T) {
+	dir := t.TempDir()
+	rts := residentServer(t, keptMatrix(t, 1))
+	keys := []string{"implications?threshold=70", "similarities?threshold=70"}
+	s, ts := storedServer(t, dir, 1)
+	if resp := doPut(t, ts.URL, "d", memoBaskets(1)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: status %d", resp.StatusCode)
+	}
+	want := map[string][]byte{}
+	for _, q := range keys {
+		want[q] = mineBody(t, rts.URL, "d", q)
+		if got := mineBody(t, ts.URL, "d", q); !bytes.Equal(got, want[q]) {
+			t.Fatalf("%s before the restart: reply differs\n got: %.400s\nwant: %.400s", q, got, want[q])
+		}
+	}
+	stop(s, ts)
+	dirs := keptDirs(t, dir)
+	if len(dirs) != 1 {
+		t.Fatalf("kept/ holds %v after Run's end, want the one partition", dirs)
+	}
+
+	parts, writes := streamPartitions.Value(), checkpointWrites.Value()
+	s, ts = storedServer(t, dir, 1)
+	if got, onDisk := s.kept.bytes.Value(), dirBytes(dirs[0]); got == 0 || got != onDisk {
+		t.Fatalf("at boot the kept gauge reads %d, the partition holds %d bytes", got, onDisk)
+	}
+	for round := 0; round < 2; round++ {
+		for _, q := range keys {
+			if got := mineBody(t, ts.URL, "d", q); !bytes.Equal(got, want[q]) {
+				t.Fatalf("round %d, %s after the restart: reply differs\n got: %.400s\nwant: %.400s", round, q, got, want[q])
+			}
+		}
+	}
+	if n := streamPartitions.Value() - parts; n != 0 {
+		t.Fatalf("the restarted server partitioned %d times, want 0", n)
+	}
+	if n := checkpointWrites.Value() - writes; n != 0 {
+		t.Fatalf("the restarted server committed %d checkpoints, want 0", n)
+	}
+	if d := keptDirs(t, dir); !slices.Equal(d, dirs) {
+		t.Fatalf("kept/ holds %v after the restart's mines, want %v", d, dirs)
+	}
+}
+
+// lifecycleBody is rows basket lines of 1 to 20 items drawn from 60.
+func lifecycleBody(seed int64, rows int) string {
+	rng := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	for i := 0; i < rows; i++ {
+		for j := rng.Intn(20); j >= 0; j-- {
+			fmt.Fprintf(&sb, "i%d ", rng.Intn(60))
+		}
+		sb.WriteString("x\n")
+	}
+	return sb.String()
+}
+
+// TestKeptBootSweep: a durable partition lives as long as its stored
+// streamed dataset. A DELETE and a PUT overwrite remove theirs at once.
+// At the next boot LoadStore keeps one committed partition per streamed
+// entry and removes the rest: the partition of an entry the catalog
+// lost (a delete that never reached the registrations), of a dataset
+// now under -stream-min-bytes, and a build cut off before its
+// manifest. The kept one is resumed, not rebuilt.
+func TestKeptBootSweep(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := storedServer(t, dir, 1)
+	const q = "implications?threshold=70"
+	for i, name := range []string{"gone", "swap", "lost", "small", "keep"} {
+		rows := 400
+		if name == "small" {
+			rows = 40
+		}
+		if resp := doPut(t, ts.URL, name, lifecycleBody(int64(i), rows)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT %s: status %d", name, resp.StatusCode)
+		}
+		mineBody(t, ts.URL, name, q)
+	}
+	if dirs := keptDirs(t, dir); len(dirs) != 5 {
+		t.Fatalf("kept/ holds %d partitions after five mines", len(dirs))
+	}
+	if resp := doReq(t, http.MethodDelete, ts.URL+"/v1/datasets/gone", ""); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d", resp.StatusCode)
+	}
+	if resp := doPut(t, ts.URL, "swap", lifecycleBody(9, 400)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT overwrite: status %d", resp.StatusCode)
+	}
+	if dirs := keptDirs(t, dir); len(dirs) != 3 {
+		t.Fatalf("kept/ holds %d partitions after a DELETE and an overwrite, want 3", len(dirs))
+	}
+	want := mineBody(t, ts.URL, "keep", q)
+	if err := s.st.Delete("lost"); err != nil {
+		t.Fatal(err)
+	}
+	keep, _ := s.st.Get("keep")
+	small, _ := s.st.Get("small")
+	cut := filepath.Join(dir, "kept", keep.Hash+"-cut")
+	if err := os.Mkdir(cut, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cut, "bucket-00.rows"), []byte("DMCF"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stop(s, ts)
+	kept, _ := filepath.Glob(filepath.Join(dir, "kept", keep.Hash+"-*"))
+	if len(kept) != 2 {
+		t.Fatalf("keep's partitions before the boot: %v", kept)
+	}
+
+	s, ts = storedServer(t, dir, small.Size+1)
+	if dirs := keptDirs(t, dir); len(dirs) != 1 || dirs[0] == cut || !strings.HasPrefix(dirs[0], filepath.Join(dir, "kept", keep.Hash)) {
+		t.Fatalf("kept/ after the boot holds %v, want keep's committed partition alone", dirs)
+	}
+	parts := streamPartitions.Value()
+	if got := mineBody(t, ts.URL, "keep", q); !bytes.Equal(got, want) {
+		t.Fatalf("keep after the boot: reply differs\n got: %.400s\nwant: %.400s", got, want)
+	}
+	if n := streamPartitions.Value() - parts; n != 0 {
+		t.Fatalf("keep's first mine after the boot partitioned %d times, want 0", n)
+	}
+	if d, _ := s.get("small"); d.m == nil {
+		t.Fatal("small is still file-backed under -stream-min-bytes")
+	}
+	mineBody(t, ts.URL, "swap", q)
+	if dirs := keptDirs(t, dir); len(dirs) != 2 {
+		t.Fatalf("kept/ holds %d partitions after swap's mine, want 2", len(dirs))
+	}
+}
+
+// renameFaultFS is a fault.Injector whose at-th rename fails too; the
+// Injector itself passes renames through.
+type renameFaultFS struct {
+	*fault.Injector
+	at, n atomic.Int64
+}
+
+func (f *renameFaultFS) Rename(oldpath, newpath string) error {
+	if n := f.n.Add(1); n == f.at.Load() {
+		return &fault.Error{Op: "rename", Path: oldpath, N: n, Err: fault.ErrInjected}
+	}
+	return f.Injector.Rename(oldpath, newpath)
+}
+
+// TestKeptFaultSweep fails every create, write, sync and rename of a
+// stored streamed dataset's first build in turn, one cell per
+// operation. The failed mine answers a structured 500 and leaves no
+// directory under kept/. A server booted over the same store after the
+// failure partitions afresh; only after the healthy build, whose
+// manifest committed, does it resume. Either way its imp and sim
+// replies equal a resident server's, and kept/ then holds exactly the
+// one partition.
+func TestKeptFaultSweep(t *testing.T) {
+	body := lifecycleBody(1, 600)
+	m := mustParseBaskets(t, body)
+	rts := residentServer(t, unlabeled(m))
+	keys := []string{"implications?threshold=60", "similarities?threshold=60"}
+	want := map[string][]byte{}
+	for _, q := range keys {
+		want[q] = mineBody(t, rts.URL, "d", q)
+	}
+	// run stores the dataset under a fresh directory and serves it with
+	// fs under the builds. With probe set it drives the build first and
+	// counts its creates, writes, syncs and renames into probe.
+	run := func(t *testing.T, fs *renameFaultFS, probe *[4]int64) (dir string, status int, body []byte) {
+		t.Helper()
+		dir = t.TempDir()
+		st := openTestStore(t, dir, store.Options{})
+		if _, err := st.Put("d", m); err != nil {
+			t.Fatal(err)
+		}
+		s, ts := storedServer(t, dir, 1)
+		st.Close()
+		s.kept.fs = fs
+		if probe != nil {
+			d, _ := s.get("d")
+			k, _, err := s.kept.acquire(context.Background(), d, s.streamCfg(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.kept.release(d.slot, k, false)
+			_, writes, creates, syncs := fs.Counts()
+			*probe = [4]int64{creates, writes, syncs, fs.n.Load()}
+		}
+		resp, err := http.Get(ts.URL + "/v1/datasets/d/" + keys[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		s.st.Close() // a crash: the registrations never end
+		return dir, resp.StatusCode, body
+	}
+	// reboot serves dir on a healthy disk and checks the replies and how
+	// many partitions the boot's mines built.
+	reboot := func(t *testing.T, dir string, builds int64) {
+		t.Helper()
+		parts := streamPartitions.Value()
+		_, ts := storedServer(t, dir, 1)
+		for _, q := range keys {
+			if got := mineBody(t, ts.URL, "d", q); !bytes.Equal(got, want[q]) {
+				t.Fatalf("%s after the boot: reply differs\n got: %.400s\nwant: %.400s", q, got, want[q])
+			}
+		}
+		if n := streamPartitions.Value() - parts; n != builds {
+			t.Fatalf("the boot's mines partitioned %d times, want %d", n, builds)
+		}
+		if dirs := keptDirs(t, dir); len(dirs) != 1 {
+			t.Fatalf("kept/ holds %v after the boot's mines, want one partition", dirs)
+		}
+	}
+
+	var ops [4]int64
+	dir, status, _ := run(t, &renameFaultFS{Injector: fault.NewInjector(fault.Scenario{})}, &ops)
+	if status != http.StatusOK {
+		t.Fatalf("healthy mine: status %d", status)
+	}
+	reboot(t, dir, 0)
+
+	for _, op := range []struct {
+		name string
+		n    int64
+	}{{"create", ops[0]}, {"write", ops[1]}, {"sync", ops[2]}, {"rename", ops[3]}} {
+		if op.n == 0 {
+			t.Fatalf("the build did no %s", op.name)
+		}
+		for at := int64(1); at <= op.n; at++ {
+			t.Run(fmt.Sprintf("%s-%d", op.name, at), func(t *testing.T) {
+				var sc fault.Scenario
+				switch op.name {
+				case "create":
+					sc.FailOpenAt = at
+				case "write":
+					sc.FailWriteAt = at
+				case "sync":
+					sc.FailSyncAt = at
+				}
+				fs := &renameFaultFS{Injector: fault.NewInjector(sc)}
+				if op.name == "rename" {
+					fs.at.Store(at)
+				}
+				dir, status, body := run(t, fs, nil)
+				if status != http.StatusInternalServerError || !bytes.Contains(body, []byte(`"error"`)) {
+					t.Fatalf("mine with the fault: %d %s, want a structured 500", status, body)
+				}
+				if dirs := keptDirs(t, dir); len(dirs) != 0 {
+					t.Fatalf("the failed build left %v", dirs)
+				}
+				reboot(t, dir, 1)
+			})
+		}
+	}
+}
+
+// TestJobReplaysKeptPartition: a job on a file-backed dataset that an
+// HTTP mine already partitioned replays that partition: it ends
+// resumed, runs no partition pass, and its payload holds the rules a
+// fresh stream mine of the file finds. A job that partitions the file
+// itself ends unresumed.
+func TestJobReplaysKeptPartition(t *testing.T) {
+	m := keptMatrix(t, 1)
+	path := filepath.Join(t.TempDir(), "d"+matrix.ExtBinary)
+	saveAged(t, path, m, time.Hour)
+	s, ts := keptServer(t, Config{}, path)
+	if err := s.AddFile("e", path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OpenJobs(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.CloseJobs() })
+	fresh, _, err := stream.MineImplicationsCfg(path, core.FromPercent(60), core.Options{}, stream.Config{Workers: 1, TmpDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules.SortImplications(fresh)
+	var want bytes.Buffer
+	if err := rules.WriteImplications(&want, fresh); err != nil {
+		t.Fatal(err)
+	}
+	mineBody(t, ts.URL, "d", "implications?threshold=70")
+	for _, tc := range []struct {
+		dataset string
+		resumed bool
+	}{{"d", true}, {"e", false}} {
+		parts := streamPartitions.Value()
+		var j jobs.Job
+		doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", "", `{"dataset":"`+tc.dataset+`","pipeline":"imp","threshold":60,"workers":1}`, http.StatusAccepted, &j)
+		if done := waitJobState(t, ts.URL, "", j.ID, jobs.StateDone); done.Resumed != tc.resumed {
+			t.Fatalf("job on %s = %+v, want resumed %v", tc.dataset, done, tc.resumed)
+		}
+		if n, want := streamPartitions.Value()-parts, map[bool]int64{true: 0, false: 1}[tc.resumed]; n != want {
+			t.Fatalf("the job on %s partitioned %d times, want %d", tc.dataset, n, want)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("payload of the job on %s differs from a fresh stream mine\n got: %.300s\nwant: %.300s", tc.dataset, got, want.Bytes())
+		}
+	}
 }

@@ -137,12 +137,20 @@ func TestMemoServesBenchKeys(t *testing.T) {
 	}
 }
 
-// TestMemoRecomputesAfterChange: a PUT overwrite and an append (on a
-// cacheless server) each start the dataset with an empty memo, and
-// requests the memo does not serve (min support, fleet shards) still
-// match a fresh mine, also on workers whose own memo is warm.
+// TestMemoRecomputesAfterChange: a PUT overwrite and an append (whose
+// miss counters the tenant's byte quota has no room for, so its mines
+// scan) each start the dataset with an empty memo, and requests the
+// memo does not serve (min support, fleet shards) still match a fresh
+// mine, also on workers whose own memo is warm.
 func TestMemoRecomputesAfterChange(t *testing.T) {
-	s := NewWith(Config{Registry: obs.NewRegistry()})
+	first, second, extra := memoBaskets(2), memoBaskets(3), "i7 twin7 i9\ni9 x\ni7 twin7\n"
+	// Room for the largest of the three datasets and nothing beside it.
+	var quota int64
+	for _, body := range []string{first, second, second + extra} {
+		m := mustParseBaskets(t, body)
+		quota = max(quota, residentFootprint(m.NumOnes(), m.NumCols()))
+	}
+	s := NewWith(Config{Registry: obs.NewRegistry(), TenantQuota: TenantQuota{MaxBytes: quota}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	const q = "implications?threshold=70"
@@ -156,7 +164,6 @@ func TestMemoRecomputesAfterChange(t *testing.T) {
 			t.Fatalf("%s: phase 100 computed %d times, want %d", what, n, computes)
 		}
 	}
-	first, second, extra := memoBaskets(2), memoBaskets(3), "i7 twin7 i9\ni9 x\ni7 twin7\n"
 	doPut(t, ts.URL, "d", first)
 	step("first mine", first, 1)
 	step("repeat", first, 0)
@@ -164,6 +171,9 @@ func TestMemoRecomputesAfterChange(t *testing.T) {
 	step("after a PUT overwrite", second, 1)
 	step("repeat after the overwrite", second, 0)
 	doAppendJSON(t, ts.URL, "d", extra)
+	if d, _ := s.get("d"); d.inc != nil {
+		t.Fatal("the append built counters beyond the tenant's byte quota")
+	}
 	step("after an append", second+extra, 1)
 	step("repeat after the append", second+extra, 0)
 

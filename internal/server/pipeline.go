@@ -31,8 +31,7 @@ type pipeline[R, W any] struct {
 	// kept partition. Cancellation, budget overflow and broken replays
 	// (SourceError panics) surface as errors via core.CapturePass. file
 	// partitions a matrix file and streams it through the out-of-core
-	// engine: budget degrades, jobs' checkpoints, and mines whose
-	// dataset registration has ended.
+	// engine: a budget degrade.
 	resident func(p *core.Prepared, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
 	file     func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]R, core.Stats, error)
 	fleet    func(c *fleet.Coordinator, ctx context.Context, ds fleet.DatasetRef, p fleet.Params) ([]R, fleet.Stats, error)
@@ -267,31 +266,27 @@ func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Thresho
 	})
 }
 
-// mineFile mines a file-backed dataset at sc.Workers. A job's mine
-// (sc.CheckpointDir set) partitions into its checkpoint through pl.file,
-// and so does a mine whose registration has ended. Every other mine
-// replays d's kept partition through its memo with pl.resident, the
-// engine of a resident dataset. A replay that breaks — a segment gone,
-// or a frame failing its CRC on every re-read — retires the partition,
-// and the mine runs once more over a fresh one.
+// mineFile mines a file-backed dataset at sc.Workers: HTTP mines and
+// jobs alike replay d's kept partition through its memo with
+// pl.resident, the engine of a resident dataset. A replay that breaks —
+// a segment gone, or a frame failing its CRC on every re-read — retires
+// the partition, and the mine runs once more over a fresh one.
+// sc.OnResume fires when the mine succeeds without a partition pass.
 func mineFile[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, sc stream.Config) ([]R, core.Stats, error) {
-	if sc.CheckpointDir != "" {
-		return pl.file(d.path, t, o, sc)
-	}
 	for retried := false; ; retried = true {
-		k, err := s.kept.acquire(o.Ctx, d, sc)
-		if errors.Is(err, errSlotClosed) {
-			return pl.file(d.path, t, o, sc)
-		}
+		k, partitioned, err := s.kept.acquire(o.Ctx, d, sc)
 		if err != nil {
 			return nil, core.Stats{}, s.noteCancelled(err)
 		}
 		rs, st, err := pl.resident(k.prep, t, o, sc.Workers)
-		s.kept.release(k)
 		var pe *stream.PassError
-		if !retried && errors.As(err, &pe) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			s.kept.retire(d.slot, k)
+		broken := !retried && errors.As(err, &pe) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+		s.kept.release(d.slot, k, broken)
+		if broken {
 			continue
+		}
+		if err == nil && !partitioned && sc.OnResume != nil {
+			sc.OnResume()
 		}
 		return rs, st, s.noteCancelled(err)
 	}

@@ -109,8 +109,8 @@ type Config struct {
 	Store *store.Store
 	// Cache, when set, is the content-addressed mine-result cache:
 	// repeat mines of an unchanged (dataset, params) pair are served
-	// from it in O(1), and appended datasets hold miss counters that
-	// serve their first mines without a scan. Nil disables both.
+	// from it in O(1). Nil disables it. Appended datasets hold miss
+	// counters either way.
 	Cache *cache.Cache
 	// MaxUploadBytes caps PUT bodies; zero means 64MB.
 	MaxUploadBytes int64
@@ -276,9 +276,8 @@ type dataset struct {
 	// change to the data builds a new dataset, so it never goes stale.
 	prep *core.Prepared
 	// inc holds the miss counters (core.Incremental) of a resident
-	// dataset that an append produced on a cached server; nil after a
-	// PUT or a restart, and when the counters would not fit
-	// (Server.counts). Never mutated: the next append folds its rows
+	// dataset that an append produced; nil after a PUT or a restart,
+	// and when the counters would not fit (Server.counts). Never mutated: the next append folds its rows
 	// into a copy, so mines derive from it while that append runs.
 	inc  *core.Incremental
 	path string
@@ -358,6 +357,10 @@ func NewWith(cfg Config) *Server {
 	}
 	s.adm = newAdmission(cfg.MaxConcurrentMines, cfg.MaxQueueDepth, cfg.TenantWeights)
 	s.kept = newKeptSet(cfg.registry())
+	if cfg.Store != nil {
+		s.kept.dir = filepath.Join(cfg.Store.Dir(), "kept")
+		os.MkdirAll(s.kept.dir, 0o755) // a build that cannot write here fails
+	}
 	s.st = cfg.Store
 	s.rc = cfg.Cache
 	// Library users get a ready server out of the box; binaries that
@@ -637,7 +640,8 @@ func endpointLabel(r *http.Request) string {
 // balancers notice, then it closes and in-flight requests get up to
 // Config.ShutdownGrace to finish. Returns nil on a clean drained
 // shutdown. Either way the file-backed datasets' kept partitions are
-// removed, each once no mine replays it.
+// removed, each once no mine replays it, except the durable ones of
+// stored blobs, which the next boot's LoadStore adopts.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	defer s.kept.closeAll()
 	srv := &http.Server{
@@ -1204,13 +1208,16 @@ func storeStatus(err error) int {
 // catalog: blobs at or above Config.StreamMinBytes stay on disk and
 // mine through the out-of-core engine; the rest load into memory with
 // their labels. Each bills its stored size to the default tenant, as
-// its PUT did. Call after Open has replayed the journal and before
+// its PUT did. A streamed dataset adopts the kept partition an earlier
+// run left for its blob, and the partitions no dataset adopts are
+// removed. Call after Open has replayed the journal and before
 // SetReady(true).
 func (s *Server) LoadStore() error {
 	if s.st == nil {
 		return nil
 	}
 	entries := s.st.List()
+	var streamed []*dataset
 	for _, e := range entries {
 		if s.cfg.StreamMinBytes > 0 && e.Size >= s.cfg.StreamMinBytes {
 			d, err := fileDataset(e.Name, e.Path)
@@ -1219,6 +1226,7 @@ func (s *Server) LoadStore() error {
 			}
 			d.info.Durable, d.hash, d.bytes = true, e.Hash, e.Size
 			s.add(e.Name, d)
+			streamed = append(streamed, d)
 			continue
 		}
 		m, err := s.st.Load(e.Name)
@@ -1229,6 +1237,7 @@ func (s *Server) LoadStore() error {
 		inf.Durable = true
 		s.add(e.Name, &dataset{m: m, info: inf, hash: e.Hash, bytes: e.Size})
 	}
+	s.kept.adopt(streamed)
 	if len(entries) > 0 {
 		s.noteTenantUsage(defaultTenant)
 	}
