@@ -14,6 +14,7 @@ var impFamily = family[rules.Implication]{
 	scanLT:   impScan,
 	minOnes:  Threshold.MinOnesConf,
 	found100: func(r rules.Implication) bool { return r.Hits == r.Ones },
+	meets:    func(t Threshold, r rules.Implication) bool { return t.Meets(r.Hits, r.Ones) },
 }
 
 // DMCImp mines all implication rules of m with confidence ≥ minconf,

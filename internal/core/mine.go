@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dmc/internal/matrix"
@@ -37,14 +36,24 @@ var ErrSequentialSource = errors.New(
 	"core: source supports only one sequential reader per pass; use workers=1 or a ConcurrentSource")
 
 // family is what one rule family plugs into the pipeline: its Hooks
-// label, the 100% scan, the general <100% scan, the step-3 cutoff, and
-// the test for rules the 100% phase already emitted.
+// label, the 100% scan, the general <100% scan, the step-3 cutoff, the
+// test for rules the 100% phase already emitted, and the exact test of
+// a rule against a threshold.
 type family[R any] struct {
 	name     string
 	scan100  func(rows Rows, mcols int, ones []int, alive, owned colMask, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(R))
 	scanLT   func(rows Rows, mcols int, ones []int, alive, owned colMask, t Threshold, opts Options, share *tailShare, mem *memMeter, st *Stats, emit func(R))
 	minOnes  func(Threshold) int
 	found100 func(R) bool
+	meets    func(Threshold, R) bool
+}
+
+// pipeline is fam's Hooks label at a resolved worker count.
+func (fam family[R]) pipeline(workers int) string {
+	if workers > 1 {
+		return fam.name + "-parallel"
+	}
+	return fam.name
 }
 
 // scanFunc is one phase's scan with the family, threshold and column
@@ -99,14 +108,16 @@ func mineSource[R any](fam family[R], src Source, ones []int, t Threshold, opts 
 //
 // Options.SingleScan instead runs step 3 alone over every column.
 //
-// memo, when non-nil, is a Prepared's slot for fam's 100% rules, which
-// no threshold changes. A filled slot stands in for step 1: its rules
-// are emitted as copies and the phase neither runs nor reports. An
-// empty one records step 1's rules here on the coordinating goroutine
-// and is filled once the phase completes, so a cancelled or
-// budget-aborted phase stores nothing; when two first mines race, the
-// first store wins. The caller passes a slot only for requests whose
-// 100% rules are the whole matrix's (Options.memoable).
+// memo, when non-nil, is a Prepared's slots for fam, which the caller
+// passes only for requests whose rules are the whole matrix's
+// (Options.memoable). A filled 100% slot stands in for step 1: its
+// rules are emitted as copies and the phase neither runs nor reports.
+// An empty one records step 1's rules here on the coordinating
+// goroutine and is filled once the phase completes; when two first
+// mines race, the first store wins. Step 3's rules are recorded the
+// same way, up to the memo's room, and kept once the phase completes
+// if t is still the lowest threshold kept. So a cancelled or
+// budget-aborted phase stores nothing.
 //
 // The columns are divided among workers (≤ 0 means one per CPU) by
 // shardOwnership, and each worker keeps candidate lists — and emits
@@ -118,13 +129,10 @@ func mineSource[R any](fam family[R], src Source, ones []int, t Threshold, opts 
 // durations are wall-clock, counts and memory peaks are summed over the
 // workers, switch positions come from the first worker that switched.
 // A pass failure panics with its SourceError.
-func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Options, workers int, prescan time.Duration, memo *atomic.Pointer[[]R], fn func(R)) Stats {
+func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Options, workers int, prescan time.Duration, memo *slots[R], fn func(R)) Stats {
 	t.check()
 	workers = ResolveWorkers(workers)
-	pipeline := fam.name
-	if workers > 1 {
-		pipeline += "-parallel"
-	}
+	pipeline := fam.pipeline(workers)
 	st := Stats{Prescan: prescan, SwitchPos100: -1, SwitchPosLT: -1}
 	opts.Hooks.emitPhase(pipeline, "prescan", prescan)
 	start := time.Now()
@@ -161,7 +169,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 	} else {
 		var hit *[]R
 		if memo != nil {
-			hit = memo.Load()
+			hit = memo.all.Load()
 		}
 		if hit != nil {
 			for _, r := range *hit {
@@ -180,7 +188,7 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 				fam.scan100(rows, mcols, ones, supportAlive, owned, wopts, share, mem, ws, emit)
 			}, emit100)
 			if memo != nil {
-				memo.CompareAndSwap(nil, &found)
+				memo.all.CompareAndSwap(nil, &found)
 			}
 		}
 		if !t.IsOne() {
@@ -197,13 +205,31 @@ func mine[R any](fam family[R], src Source, ones []int, t Threshold, opts Option
 				// of copying each through the mask.
 				alive = nil
 			}
+			var found []R
+			emitLT, keep := emit, memo != nil
+			if keep {
+				room := memo.room(ones)
+				emitLT = func(r R) {
+					switch {
+					case !keep:
+					case len(found) < room:
+						found = append(found, r)
+					default: // past the bound: return the rules, keep none
+						found, keep = nil, false
+					}
+					emit(r)
+				}
+			}
 			phase(false, func(rows Rows, owned colMask, share *tailShare, mem *memMeter, ws *Stats, emit func(R)) {
 				fam.scanLT(rows, mcols, ones, alive, owned, t, wopts, share, mem, ws, func(r R) {
 					if !fam.found100(r) {
 						emit(r)
 					}
 				})
-			}, emit)
+			}, emitLT)
+			if keep {
+				memo.keep(t, found)
+			}
 		}
 	}
 

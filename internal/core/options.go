@@ -134,7 +134,8 @@ type Hooks struct {
 	// "sim-parallel"); phases are "prescan", "100" and "lt". A
 	// Prepared mine fires "100" only when it computes the 100% rules,
 	// not when it reuses its memo, and after its first mine its
-	// "prescan" times only the scan order.
+	// "prescan" times only the scan order. A mine its memo serves
+	// whole fires only a zero "prescan".
 	OnPhase func(pipeline, phase string, d time.Duration)
 	// OnBitmapSwitch fires when a phase switched to DMC-bitmap, with
 	// the scan position of the switch (never for a "100" phase a
@@ -203,7 +204,8 @@ type MemSample struct {
 type Stats struct {
 	// Prescan is the first pass: counting ones(c) per column (and, for
 	// the pipelines, deriving the bucket order). A Prepared counts
-	// ones(c) once, so its later mines time only the order.
+	// ones(c) once, so its later mines time only the order, and a mine
+	// its memo serves whole derives none and reports 0.
 	Prescan time.Duration
 	// Phase100 is the 100%-rule (or identical-column) phase; 0 when a
 	// Prepared memo stood in for it.

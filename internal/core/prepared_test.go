@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dmc/internal/gen"
 	"dmc/internal/matrix"
@@ -138,7 +141,7 @@ func TestPreparedMatchesFresh(t *testing.T) {
 				for _, th := range memoSequence(rng, first100) {
 					checkPrepared(t, p, th, Options{}, workers, wantImp[th], wantSim[th], c.name)
 				}
-				if p.imp.Load() == nil || p.sim.Load() == nil {
+				if p.imp.all.Load() == nil || p.sim.all.Load() == nil {
 					t.Fatalf("%s: memo not filled after default mines", c.name)
 				}
 			}
@@ -150,7 +153,7 @@ func TestPreparedMatchesFresh(t *testing.T) {
 					fresh, _ := DMCImpParallel(c.m, th, opts, workers)
 					freshSim, _ := DMCSimParallel(c.m, th, opts, workers)
 					checkPrepared(t, p, th, opts, workers, fresh, freshSim, c.name+", "+name)
-					if i == 0 && (p.imp.Load() != nil || p.sim.Load() != nil) {
+					if i == 0 && (p.imp.all.Load() != nil || p.sim.all.Load() != nil) {
 						t.Fatalf("%s, %s: a bypassed request filled the memo", c.name, name)
 					}
 					// A default mine now and then fills the memo, which the
@@ -165,12 +168,13 @@ func TestPreparedMatchesFresh(t *testing.T) {
 }
 
 // TestPreparedResultIsCallers: the server sorts and re-orients rules in
-// place, so no returned slice may alias the memo.
+// place, so no returned slice may alias the memo, whether the mine
+// filled it or was served from it.
 func TestPreparedResultIsCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := memoMatrix(rng, 60, 12, 4)
 	p := Prepare(m)
-	for _, th := range []Threshold{FromPercent(100), FromPercent(70), FromPercent(100)} {
+	for _, th := range []Threshold{FromPercent(100), FromPercent(70), FromPercent(100), FromPercent(70), FromPercent(80)} {
 		imp, _ := p.Implications(th, Options{}, 1)
 		sim, _ := p.Similarities(th, Options{}, 2)
 		if d := rules.DiffImplications(imp, NaiveImplications(m, th)); d != "" {
@@ -188,17 +192,18 @@ func TestPreparedResultIsCallers(t *testing.T) {
 			sim[i].A, sim[i].B, sim[i].OnesA = sim[i].B, sim[i].A, 0
 		}
 	}
-	if hit := p.imp.Load(); hit == nil || len(*hit) == 0 {
+	if hit := p.imp.all.Load(); hit == nil || len(*hit) == 0 {
 		t.Fatal("test matrix has no 100% implications to memoize")
 	}
-	if hit := p.sim.Load(); hit == nil || len(*hit) == 0 {
+	if hit := p.sim.all.Load(); hit == nil || len(*hit) == 0 {
 		t.Fatal("test matrix has no identical columns to memoize")
 	}
 }
 
 // TestPreparedAbortStoresNothing: a 100% phase cut short by Ctx or by
 // the memory budget leaves the slot empty, and the next mine still
-// computes the exact rules and fills it.
+// computes the exact rules and fills it. A <100% phase cut short below
+// the kept threshold leaves the kept rules as they were.
 func TestPreparedAbortStoresNothing(t *testing.T) {
 	// Columns 20-39 are identical, so either family's 100% candidate
 	// lists outgrow a 64-byte budget on the first row that has them.
@@ -241,21 +246,38 @@ func TestPreparedAbortStoresNothing(t *testing.T) {
 			if !tc.want(err) {
 				t.Fatalf("%s sim w%d: got %v", name, workers, err)
 			}
-			if p.imp.Load() != nil || p.sim.Load() != nil {
+			if p.imp.all.Load() != nil || p.sim.all.Load() != nil {
 				t.Fatalf("%s w%d: an aborted 100%% phase filled the memo", name, workers)
 			}
 			th = FromPercent(80)
 			checkPrepared(t, p, th, Options{}, workers, NaiveImplications(m, th), NaiveSimilarities(m, th), name)
-			if p.imp.Load() == nil || p.sim.Load() == nil {
+			if p.imp.all.Load() == nil || p.sim.all.Load() == nil {
 				t.Fatalf("%s w%d: the mine after the abort did not fill the memo", name, workers)
 			}
+			// Below the kept 80% only the <100% phase runs, so the abort
+			// is its, and the rules kept at 80% stay.
+			below := FromPercent(70)
+			if err := CapturePass(func() { p.Implications(below, tc.opts, workers) }); !tc.want(err) {
+				t.Fatalf("%s imp w%d at %v: got %v", name, workers, below, err)
+			}
+			if err := CapturePass(func() { p.Similarities(below, tc.opts, workers) }); !tc.want(err) {
+				t.Fatalf("%s sim w%d at %v: got %v", name, workers, below, err)
+			}
+			for _, imp := range []bool{true, false} {
+				if k := keptAt(p, imp); k == nil || *k != th {
+					t.Fatalf("%s w%d imp=%v: kept threshold %v after an aborted <100%% phase, want %v", name, workers, imp, k, th)
+				}
+			}
+			checkPrepared(t, p, below, Options{}, workers, NaiveImplications(m, below), NaiveSimilarities(m, below), name+" below")
 		}
 	}
 }
 
-// TestPreparedHitSkipsPhase100: a memo hit reports no "100" phase, no
-// 100% bitmap switch and zero Phase100 and Peak100, while the counts
-// still cover the emitted 100% rules.
+// TestPreparedHitSkipsPhase100: a mine the 100% slot stands in for
+// reports no "100" phase, no 100% bitmap switch and zero Phase100 and
+// Peak100, while the counts still cover the emitted 100% rules. A mine
+// the memo serves whole (a repeat, or one at 100%) reports only
+// "prescan" and no scan work at all.
 func TestPreparedHitSkipsPhase100(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := memoMatrix(rng, 200, 16, 4)
@@ -263,19 +285,22 @@ func TestPreparedHitSkipsPhase100(t *testing.T) {
 	forced := Options{BitmapMaxRows: m.NumRows(), BitmapMinBytes: -1}
 	for _, workers := range []int{1, 2} {
 		pipeline := "imp"
+		// One worker fills both slots at 75%; two mine below that, so
+		// their first mine reads the 100% slot and runs the <100% phase.
+		first := FromPercent(75)
 		if workers > 1 {
-			pipeline = "imp-parallel"
+			pipeline, first = "imp-parallel", FromPercent(60)
 		}
-		for i, th := range []Threshold{FromPercent(75), FromPercent(75), FromPercent(100)} {
+		for i, th := range []Threshold{first, first, FromPercent(100)} {
 			rec, h := newHookRecorder()
 			opts := forced
 			opts.Hooks = h
 			rs, st := p.Implications(th, opts, workers)
-			want := []string{"prescan", "100", "lt"}
+			want := []string{"prescan"}
 			switch {
-			case th.IsOne():
-				want = []string{"prescan"}
-			case i > 0 || workers > 1:
+			case i == 0 && workers == 1:
+				want = []string{"prescan", "100", "lt"}
+			case i == 0:
 				want = []string{"prescan", "lt"}
 			}
 			if got := rec.phases[pipeline]; !slices.Equal(got, want) {
@@ -288,6 +313,9 @@ func TestPreparedHitSkipsPhase100(t *testing.T) {
 			if !hit && st.SwitchPos100 < 0 {
 				t.Fatalf("w%d mine %d: the forced 100%% bitmap switch did not happen", workers, i)
 			}
+			if len(want) == 1 {
+				checkServed(t, st, fmt.Sprintf("w%d mine %d at %v", workers, i, th))
+			}
 			if st.NumRules != len(rs) || rec.stats[pipeline].NumRules != len(rs) {
 				t.Fatalf("w%d mine %d: NumRules %d, returned %d", workers, i, st.NumRules, len(rs))
 			}
@@ -295,9 +323,255 @@ func TestPreparedHitSkipsPhase100(t *testing.T) {
 	}
 }
 
+// checkServed fails unless st is a memo-served mine's: NumRules and
+// Total, every phase, peak and count zero and both switch positions -1.
+func checkServed(t *testing.T, st Stats, what string) {
+	t.Helper()
+	want := Stats{NumRules: st.NumRules, Total: st.Total, SwitchPos100: -1, SwitchPosLT: -1}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("%s: a memo-served mine reports scan work: %+v", what, st)
+	}
+}
+
+// keptAt is the threshold of p's kept <100% rules for one family, or
+// nil when none are kept.
+func keptAt(p *Prepared, imp bool) *Threshold {
+	if imp {
+		if k := p.imp.tail.Load(); k != nil {
+			return &k.t
+		}
+		return nil
+	}
+	if k := p.sim.tail.Load(); k != nil {
+		return &k.t
+	}
+	return nil
+}
+
+// mineChecked mines one family of m at th through p, fails unless the
+// rules are the naive miner's and Stats.NumRules and the OnStats hook
+// count them, and returns the phases reported and the Stats.
+func mineChecked(t *testing.T, p *Prepared, m *matrix.Matrix, imp bool, th Threshold, workers int) ([]string, Stats) {
+	t.Helper()
+	rec, h := newHookRecorder()
+	opts := Options{Hooks: h}
+	pipeline, n := "sim", 0
+	var st Stats
+	if imp {
+		pipeline = "imp"
+		var rs []rules.Implication
+		rs, st = p.Implications(th, opts, workers)
+		if d := rules.DiffImplications(rs, NaiveImplications(m, th)); d != "" {
+			t.Fatalf("imp at %v w%d:\n%s", th, workers, d)
+		}
+		n = len(rs)
+	} else {
+		var rs []rules.Similarity
+		rs, st = p.Similarities(th, opts, workers)
+		if d := rules.DiffSimilarities(rs, NaiveSimilarities(m, th)); d != "" {
+			t.Fatalf("sim at %v w%d:\n%s", th, workers, d)
+		}
+		n = len(rs)
+	}
+	if workers > 1 {
+		pipeline += "-parallel"
+	}
+	if st.NumRules != n || rec.stats[pipeline].NumRules != n {
+		t.Fatalf("%s at %v: NumRules %d, hook %d, returned %d", pipeline, th, st.NumRules, rec.stats[pipeline].NumRules, n)
+	}
+	return rec.phases[pipeline], st
+}
+
+// tailStep is one mine of a threshold sweep: whether it must run the
+// <100% phase, and the kept threshold after it.
+type tailStep struct {
+	th    Threshold
+	scans bool
+	kept  Threshold
+}
+
+// tailSweep mines steps in order through p for one family, checking
+// each against the naive miner, its phases and Stats, and the kept
+// threshold after it. The first step must also run the 100% phase.
+func tailSweep(t *testing.T, p *Prepared, m *matrix.Matrix, imp bool, workers int, steps []tailStep) {
+	t.Helper()
+	for i, s := range steps {
+		what := fmt.Sprintf("imp=%v w%d mine %d at %v", imp, workers, i, s.th)
+		phases, st := mineChecked(t, p, m, imp, s.th, workers)
+		want := []string{"prescan"}
+		switch {
+		case i == 0:
+			want = []string{"prescan", "100", "lt"}
+		case s.scans:
+			want = []string{"prescan", "lt"}
+		}
+		if !slices.Equal(phases, want) {
+			t.Fatalf("%s: phases %v, want %v", what, phases, want)
+		}
+		if !s.scans {
+			checkServed(t, st, what)
+		}
+		if k := keptAt(p, imp); k == nil || *k != s.kept {
+			t.Fatalf("%s: kept threshold %v, want %v", what, k, s.kept)
+		}
+	}
+}
+
+// TestPreparedTailSweep: the first <100% mine keeps its <100% rules; a
+// repeat, and a mine above it, are served from them with no scan work;
+// a mine below runs the <100% phase and lowers the kept threshold, and
+// a mine between the two is then served. Every reply is exact.
+func TestPreparedTailSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := memoMatrix(rng, 200, 16, 4)
+	if a, b := len(NaiveImplications(m, FromPercent(60))), len(NaiveImplications(m, FromPercent(90))); a <= b {
+		t.Fatalf("test matrix has %d implications at 60%% and %d at 90%%: a filter would drop nothing", a, b)
+	}
+	steps := []tailStep{
+		{FromPercent(75), true, FromPercent(75)},
+		{FromPercent(75), false, FromPercent(75)},
+		{FromPercent(90), false, FromPercent(75)},
+		{FromPercent(60), true, FromPercent(60)},
+		{FromRatio(2, 3), false, FromPercent(60)},
+		{FromPercent(60), false, FromPercent(60)},
+		{FromPercent(100), false, FromPercent(60)},
+	}
+	for _, imp := range []bool{true, false} {
+		for workers := 1; workers <= 3; workers++ {
+			tailSweep(t, Prepare(m), m, imp, workers, steps)
+		}
+	}
+}
+
+// TestPreparedTailBoundary: rules exactly at a threshold survive the
+// filter of a tail kept below it. On boundaryMatrix, a tail kept at 1/3
+// or 2/3 yields the 9-of-10 implication at exactly 90% and the 3-of-4
+// similarity at exactly 75%, each served without a scan.
+func TestPreparedTailBoundary(t *testing.T) {
+	m := boundaryMatrix()
+	at90, at75 := FromPercent(90), FromPercent(75)
+	for _, keep := range []Threshold{FromRatio(1, 3), FromRatio(2, 3)} {
+		p := Prepare(m)
+		for _, imp := range []bool{true, false} {
+			tailSweep(t, p, m, imp, 1, []tailStep{
+				{keep, true, keep}, {at75, false, keep}, {at90, false, keep},
+			})
+		}
+		imps, _ := p.Implications(at90, Options{}, 1)
+		if !slices.Contains(imps, rules.Implication{From: 0, To: 1, Hits: 9, Ones: 10}) {
+			t.Fatalf("kept at %v: the implication at exactly 90%% is missing at 90%%: %v", keep, imps)
+		}
+		sims, _ := p.Similarities(at75, Options{}, 1)
+		if !slices.ContainsFunc(sims, func(s rules.Similarity) bool { return s.Hits == 3 && s.OnesA == 3 && s.OnesB == 4 }) {
+			t.Fatalf("kept at %v: the similarity at exactly 75%% is missing at 75%%: %v", keep, sims)
+		}
+	}
+}
+
+// TestPreparedTailOverBound: a mine whose <100% rules outgrow the data
+// set's Footprint returns them exactly but keeps none, so the next mine
+// at its threshold runs the <100% phase again.
+func TestPreparedTailOverBound(t *testing.T) {
+	// Each column is in about two rows of three, so nearly every pair is
+	// a <100% rule at 1/3: far more rule bytes than the matrix holds.
+	rng := rand.New(rand.NewSource(12))
+	rows := make([][]matrix.Col, 12)
+	for i := range rows {
+		for c := 0; c < 40; c++ {
+			if rng.Intn(3) > 0 {
+				rows[i] = append(rows[i], matrix.Col(c))
+			}
+		}
+	}
+	m := matrix.FromRows(40, rows)
+	th := FromRatio(1, 3)
+	bound := Footprint(m.NumOnes(), m.NumCols())
+	var lt [2]int
+	for _, r := range NaiveImplications(m, th) {
+		if !impFamily.found100(r) {
+			lt[0]++
+		}
+	}
+	for _, r := range NaiveSimilarities(m, th) {
+		if !simFamily.found100(r) {
+			lt[1]++
+		}
+	}
+	if int64(lt[0])*int64(unsafe.Sizeof(rules.Implication{})) <= bound || int64(lt[1])*int64(unsafe.Sizeof(rules.Similarity{})) <= bound {
+		t.Fatalf("test matrix's <100%% rules (%d imp, %d sim) fit under its %d B footprint", lt[0], lt[1], bound)
+	}
+	for _, imp := range []bool{true, false} {
+		for workers := 1; workers <= 2; workers++ {
+			p := Prepare(m)
+			for i, want := range [][]string{{"prescan", "100", "lt"}, {"prescan", "lt"}} {
+				if phases, _ := mineChecked(t, p, m, imp, th, workers); !slices.Equal(phases, want) {
+					t.Fatalf("imp=%v w%d mine %d: phases %v, want %v", imp, workers, i, phases, want)
+				}
+				if k := keptAt(p, imp); k != nil {
+					t.Fatalf("imp=%v w%d: a tail over the footprint was kept at %v", imp, workers, *k)
+				}
+			}
+		}
+	}
+}
+
+// countingSource counts the passes started over a ConcurrentSource.
+type countingSource struct {
+	ConcurrentSource
+	passes atomic.Int64
+}
+
+func (s *countingSource) Pass() Rows {
+	s.passes.Add(1)
+	return s.ConcurrentSource.Pass()
+}
+
+func (s *countingSource) ConcurrentPass(n int) []Rows {
+	s.passes.Add(1)
+	return s.ConcurrentSource.ConcurrentPass(n)
+}
+
+// TestPreparedSourceTail: a PrepareSource memo keeps and serves its
+// <100% rules as a matrix's does, and a served mine starts no pass of
+// its source.
+func TestPreparedSourceTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := memoMatrix(rng, 200, 16, 4)
+	for _, imp := range []bool{true, false} {
+		for workers := 1; workers <= 2; workers++ {
+			src := &countingSource{ConcurrentSource: MatrixSource(m, matrix.SparsestFirstOrder(m)).(ConcurrentSource)}
+			p := PrepareSource(src, m.Ones())
+			for i, s := range []struct {
+				th     Threshold
+				passes int64
+				kept   Threshold
+			}{
+				{FromPercent(70), 2, FromPercent(70)},
+				{FromPercent(85), 0, FromPercent(70)},
+				{FromPercent(55), 1, FromPercent(55)},
+				{FromPercent(65), 0, FromPercent(55)},
+				{FromPercent(100), 0, FromPercent(55)},
+			} {
+				before := src.passes.Load()
+				_, st := mineChecked(t, p, m, imp, s.th, workers)
+				if n := src.passes.Load() - before; n != s.passes {
+					t.Fatalf("imp=%v w%d mine %d at %v: %d passes, want %d", imp, workers, i, s.th, n, s.passes)
+				}
+				if s.passes == 0 {
+					checkServed(t, st, fmt.Sprintf("imp=%v w%d mine %d", imp, workers, i))
+				}
+				if k := keptAt(p, imp); k == nil || *k != s.kept {
+					t.Fatalf("imp=%v w%d mine %d: kept threshold %v, want %v", imp, workers, i, k, s.kept)
+				}
+			}
+		}
+	}
+}
+
 // TestPreparedConcurrent: goroutines mining one Prepared at mixed
-// thresholds, families and worker counts race to fill and read both
-// slots; every result stays exact.
+// thresholds, families and worker counts race to fill and read every
+// slot; every result stays exact, and each family keeps the <100% rules
+// of the lowest threshold it mined.
 func TestPreparedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := memoMatrix(rng, 300, 24, 4)
@@ -306,6 +580,14 @@ func TestPreparedConcurrent(t *testing.T) {
 	wantSim := map[Threshold][]rules.Similarity{}
 	for _, th := range ths {
 		wantImp[th], wantSim[th] = NaiveImplications(m, th), NaiveSimilarities(m, th)
+	}
+	// Goroutine g's mine i is an implication mine at ths[(g+i)%len(ths)]
+	// when g+i is even, so each family's lowest threshold is fixed.
+	lowest := map[bool]Threshold{}
+	for k, th := range ths {
+		if lo, ok := lowest[k%2 == 0]; !th.IsOne() && (!ok || th.less(lo)) {
+			lowest[k%2 == 0] = th
+		}
 	}
 	for round := 0; round < 3; round++ {
 		p := Prepare(m)
@@ -331,6 +613,11 @@ func TestPreparedConcurrent(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		for _, imp := range []bool{true, false} {
+			if k := keptAt(p, imp); k == nil || *k != lowest[imp] {
+				t.Fatalf("round %d, imp=%v: kept threshold %v after the race, want the lowest mined, %v", round, imp, k, lowest[imp])
+			}
+		}
 	}
 }
 
@@ -390,9 +677,17 @@ func FuzzPreparedParity(f *testing.F) {
 
 // BenchmarkPreparedKeys cycles the load benchmark's 15 keys
 // (implications at 55 to 90, similarities at 60 to 90, in steps of 5)
-// over its data, gen.Bench at scale 1/8, mining each fresh and through
-// a warm Prepared at one and at two workers. One op is the whole cycle;
-// the per-mine means of the prescan, the 100% phase and the <100% phase
+// over its data, gen.Bench at scale 1/8. One op is the whole cycle.
+//
+//   - fresh mines each key with DMCImp or DMCSim.
+//   - desc/w1 and desc/w2 mine each family's keys in descending
+//     thresholds through a Prepared whose 100% rules are stored and
+//     whose kept <100% rules are dropped before each cycle, so every
+//     mine runs the <100% phase, at one worker and at two.
+//   - hits mines the keys through a warm Prepared, which serves every
+//     one from its memo.
+//
+// The per-mine means of the prescan, the 100% phase and the <100% phase
 // show where the memo's saving lands, and the per-key means (ms/imp55
 // and so on) where a second worker wins or loses.
 func BenchmarkPreparedKeys(b *testing.B) {
@@ -408,13 +703,23 @@ func BenchmarkPreparedKeys(b *testing.B) {
 	for _, side := range []struct {
 		name    string
 		memo    bool
+		desc    bool
 		workers int
-	}{{"fresh", false, 1}, {"memo/w1", true, 1}, {"memo/w2", true, 2}} {
+	}{{"fresh", false, false, 1}, {"desc/w1", true, true, 1}, {"desc/w2", true, true, 2}, {"hits", true, false, 1}} {
 		b.Run(side.name, func(b *testing.B) {
 			p := Prepare(m)
 			perKey := make([]float64, len(keys))
 			cycle := func() (prescan, p100, lt float64) {
-				for i, k := range keys {
+				if side.desc {
+					p.imp.tail.Store(nil)
+					p.sim.tail.Store(nil)
+				}
+				for j := range keys {
+					i := j
+					if side.desc {
+						i = len(keys) - 1 - j
+					}
+					k := keys[i]
 					th := FromPercent(k.pct)
 					start := time.Now()
 					var st Stats

@@ -14,6 +14,7 @@ var simFamily = family[rules.Similarity]{
 	scanLT:   simScan,
 	minOnes:  Threshold.MinOnesSim,
 	found100: func(r rules.Similarity) bool { return r.Hits == r.OnesA && r.OnesA == r.OnesB },
+	meets:    func(t Threshold, r rules.Similarity) bool { return t.MeetsSim(r.Hits, r.OnesA, r.OnesB) },
 }
 
 // DMCSim mines all similarity rules of m with Jaccard similarity ≥

@@ -56,6 +56,9 @@ func (t Threshold) String() string { return fmt.Sprintf("%g%%", 100*t.Float()) }
 // IsOne reports whether the threshold is exactly 100%.
 func (t Threshold) IsOne() bool { return t.num == t.den }
 
+// less reports t < u.
+func (t Threshold) less(u Threshold) bool { return t.num*u.den < u.num*t.den }
+
 func (t Threshold) check() {
 	if t.den == 0 {
 		panic("core: zero-value Threshold; use FromPercent/FromRatio/FromFloat")

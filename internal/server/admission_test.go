@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/matrix"
+	"dmc/internal/obs"
 	"dmc/internal/rules"
 	"dmc/internal/stream"
 )
@@ -268,6 +270,43 @@ func TestBrownoutDegradesToStream(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/datasets/baskets/implications?threshold=100", http.StatusOK, &resp)
 	if v := s.resident.Load(); v != 0 {
 		t.Fatalf("resident ledger leaked: %d bytes still admitted", v)
+	}
+}
+
+// TestBrownoutServesFromMemo: a mine the dataset's memo answers whole
+// scans nothing, so brownout does not degrade it. With the ledger over
+// the ceiling, mines at 100% and at thresholds the kept <100% rules
+// cover reply byte-identically to a resident server, the resident
+// engine does not run (so no idle slot is borrowed), and
+// dmc_mines_degraded_total does not move.
+func TestBrownoutServesFromMemo(t *testing.T) {
+	body := memoBaskets(4)
+	s := NewWith(Config{BrownoutBytes: 1 << 10, MaxConcurrentMines: 2, Registry: obs.NewRegistry()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	doPut(t, ts.URL, "d", body)
+	// An idle server admits any first mine: these fill the memo.
+	for _, q := range []string{"implications?threshold=60", "similarities?threshold=60"} {
+		mineBody(t, ts.URL, "d", q)
+	}
+	ran := recordResident(s)
+	s.resident.Store(1 << 20)
+	for _, q := range []string{
+		"implications?threshold=100", "implications?threshold=75", "implications?threshold=60",
+		"similarities?threshold=100", "similarities?threshold=85",
+	} {
+		if got, want := mineBody(t, ts.URL, "d", q), freshMine(t, body, q); !bytes.Equal(got, want) {
+			t.Fatalf("%s under brownout: reply differs from a resident server's\n got: %.400s\nwant: %.400s", q, got, want)
+		}
+	}
+	if n := s.metrics.degraded.Value(); n != 0 {
+		t.Fatalf("dmc_mines_degraded_total = %d after memo-served mines, want 0", n)
+	}
+	if len(ran.got) != 0 {
+		t.Fatalf("the resident engine ran %d times for memo-served mines", len(ran.got))
+	}
+	if v := s.resident.Load(); v != 1<<20 {
+		t.Fatalf("memo-served mines moved the ledger to %d bytes", v)
 	}
 }
 

@@ -120,7 +120,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	for i := d.m.NumRows(); i < grown.NumRows(); i++ {
 		ones += grown.RowWeight(i)
 	}
-	size := residentFootprint(ones, grown.NumCols())
+	size := core.Footprint(ones, grown.NumCols())
 	if shed := s.checkDatasetQuota(tenant, name, size); shed != nil {
 		s.writeShed(w, r, shed)
 		return

@@ -735,7 +735,7 @@ func TestAppendTenantRules(t *testing.T) {
 				t.Fatalf("rows of %s's d = %d, want %d", tc.wantOwner, inf.Rows, tc.wantRows)
 			}
 			d, _ := s.get("d")
-			want := residentFootprint(d.m.NumOnes(), d.m.NumCols())
+			want := core.Footprint(d.m.NumOnes(), d.m.NumCols())
 			if s.st != nil {
 				e, _ := s.st.Get("d")
 				want = e.Size

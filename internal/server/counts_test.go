@@ -204,7 +204,7 @@ func TestAppendCountsBound(t *testing.T) {
 		// without them.
 		const batch = "bread tea\n"
 		grown := mustParseBaskets(t, basketBody+batch)
-		size := residentFootprint(grown.NumOnes(), grown.NumCols())
+		size := core.Footprint(grown.NumOnes(), grown.NumCols())
 		need := core.PairBound(grown, 0, 0) * core.PairBytes
 		if need > size {
 			t.Fatalf("bound %d B over the footprint %d B; the test is vacuous", need, size)

@@ -21,7 +21,9 @@ import (
 // dataset partitions its file into the §4.1 density buckets — the
 // paper's first pass, which reads no threshold — and keeps the
 // segments. Later ones replay them through a core.Prepared whose memo
-// holds each family's 100% rules, as a resident dataset's mine does.
+// holds each family's 100% rules and the <100% rules of its lowest
+// threshold mined, as a resident dataset's mine does; a mine the memo
+// covers replays nothing.
 //
 // A store blob is immutable and named by its content hash, so its
 // partition serves the registration's whole life. It is durable: a

@@ -457,7 +457,9 @@ func keptSegments(t *testing.T, dir string) []string {
 // TestKeptFaultCorruptSegment: a kept partition whose replay breaks —
 // a segment failing its frame CRC on every re-read, or a segment gone —
 // is retired: the mine partitions the file again and replies exactly,
-// and the broken directory is removed.
+// and the broken directory is removed. The mines after the damage ask
+// for a threshold below the first, so the memo cannot serve them and
+// the replay reaches the damaged segment.
 func TestKeptFaultCorruptSegment(t *testing.T) {
 	for _, damage := range []string{"corrupt", "missing"} {
 		t.Run(damage, func(t *testing.T) {
@@ -468,11 +470,11 @@ func TestKeptFaultCorruptSegment(t *testing.T) {
 			saveAged(t, path, m, time.Hour)
 			_, ts := keptServer(t, Config{Store: st}, path)
 			rts := residentServer(t, m)
-			const q = "similarities?threshold=70"
-			want := mineBody(t, rts.URL, "d", q)
-			if got := mineBody(t, ts.URL, "d", q); !bytes.Equal(got, want) {
+			const q, below = "similarities?threshold=70", "similarities?threshold=60"
+			if got, want := mineBody(t, ts.URL, "d", q), mineBody(t, rts.URL, "d", q); !bytes.Equal(got, want) {
 				t.Fatal("first mine differs from the resident reply")
 			}
+			want := mineBody(t, rts.URL, "d", below)
 			segs := keptSegments(t, st.ScratchDir())
 			if len(segs) == 0 {
 				t.Fatal("no kept segments after the first mine")
@@ -494,7 +496,7 @@ func TestKeptFaultCorruptSegment(t *testing.T) {
 			}
 			before := streamPartitions.Value()
 			for round := 0; round < 2; round++ {
-				if got := mineBody(t, ts.URL, "d", q); !bytes.Equal(got, want) {
+				if got := mineBody(t, ts.URL, "d", below); !bytes.Equal(got, want) {
 					t.Fatalf("round %d after the damage: reply differs\n got: %.400s\nwant: %.400s", round, got, want)
 				}
 			}

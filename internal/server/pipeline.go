@@ -31,9 +31,11 @@ type pipeline[R, W any] struct {
 	// kept partition. Cancellation, budget overflow and broken replays
 	// (SourceError panics) surface as errors via core.CapturePass. file
 	// partitions a matrix file and streams it through the out-of-core
-	// engine: a budget degrade.
+	// engine: a budget degrade. memo answers a mine from a memo alone,
+	// or reports that it cannot.
 	resident func(p *core.Prepared, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, error)
 	file     func(path string, t core.Threshold, o core.Options, cfg stream.Config) ([]R, core.Stats, error)
+	memo     func(p *core.Prepared, t core.Threshold, o core.Options, workers int) ([]R, core.Stats, bool)
 	fleet    func(c *fleet.Coordinator, ctx context.Context, ds fleet.DatasetRef, p fleet.Params) ([]R, fleet.Stats, error)
 	derive   func(inc *core.Incremental, t core.Threshold, o core.Options) []R
 	read     func(io.Reader) ([]R, error)
@@ -51,6 +53,7 @@ var impPipeline = pipeline[rules.Implication, ImplicationWire]{
 	name:     "imp",
 	resident: residentEngine((*core.Prepared).Implications),
 	file:     stream.MineImplicationsCfg,
+	memo:     (*core.Prepared).MemoImplications,
 	fleet:    (*fleet.Coordinator).MineImplications,
 	derive:   (*core.Incremental).Implications,
 	read:     rules.ReadImplications,
@@ -83,6 +86,7 @@ var simPipeline = pipeline[rules.Similarity, SimilarityWire]{
 	name:     "sim",
 	resident: residentEngine((*core.Prepared).Similarities),
 	file:     stream.MineSimilaritiesCfg,
+	memo:     (*core.Prepared).MemoSimilarities,
 	fleet:    (*fleet.Coordinator).MineSimilarities,
 	derive:   (*core.Incremental).Similarities,
 	read:     rules.ReadSimilarities,
@@ -231,11 +235,12 @@ func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run r
 	return mined, rung, true
 }
 
-// mineMem mines a resident dataset through its memo (d.prep) down the
-// degrade rung it shares with the library and dmcmine
-// (stream.MineResident), whose density-bucket re-ordering and
-// disk-backed passes are the paper's answer to counter arrays that
-// outgrow memory:
+// mineMem mines a resident dataset through its memo (d.prep). A mine
+// the memo answers whole scans nothing, so it takes no ledger entry,
+// no degrade and no borrowed slot. Any other goes down the degrade rung
+// it shares with the library and dmcmine (stream.MineResident), whose
+// density-bucket re-ordering and disk-backed passes are the paper's
+// answer to counter arrays that outgrow memory:
 //
 //   - brownout: when the admission ledger says this mine would push the
 //     resident-mine footprint past Config.BrownoutBytes, it runs out of
@@ -246,6 +251,9 @@ func ladder[R, W any](s *Server, pl *pipeline[R, W], d *dataset, p params, run r
 // Both paths count on dmc_mines_degraded_total. The resident mine runs
 // at s.residentWorkers(p), the out-of-core one at p.workers.
 func mineMem[R, W any](s *Server, pl *pipeline[R, W], d *dataset, t core.Threshold, o core.Options, p params) ([]R, core.Stats, error) {
+	if rs, st, ok := pl.memo(d.prep, t, o, p.workers); ok {
+		return rs, st, nil
+	}
 	cfg := s.streamCfg(p.workers)
 	cfg.Ctx = o.Ctx
 	resident := func() ([]R, core.Stats, error) {

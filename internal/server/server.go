@@ -271,9 +271,10 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 // cacheable (a file-backed dataset that never went through the store).
 type dataset struct {
 	m *matrix.Matrix
-	// prep memoizes m's threshold-independent mining work (ones(c) and
-	// the 100% rules); add sets it for every resident dataset. Any
-	// change to the data builds a new dataset, so it never goes stale.
+	// prep memoizes m's mining results (ones(c), the 100% rules and the
+	// <100% rules of the lowest threshold mined); add sets it for every
+	// resident dataset. Any change to the data builds a new dataset, so
+	// it never goes stale.
 	prep *core.Prepared
 	// inc holds the miss counters (core.Incremental) of a resident
 	// dataset that an append produced; nil after a PUT or a restart,
@@ -756,7 +757,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "dataset has no transactions")
 		return
 	}
-	est := residentFootprint(m.NumOnes(), m.NumCols())
+	est := core.Footprint(m.NumOnes(), m.NumCols())
 	if shed := s.checkDatasetQuota(tenant, name, est); shed != nil {
 		s.writeShed(w, r, shed)
 		return
@@ -912,19 +913,11 @@ func (s *Server) noteCancelled(err error) error {
 	return err
 }
 
-// residentFootprint estimates the memory a resident mine of a matrix
-// with ones ones and cols columns holds — the matrix rows plus the
-// O(cols) counter arrays — for the brownout
-// ledger. A rough proxy is fine: the ledger shapes load, it does not
-// enforce a hard limit (core.Options.MemBudgetBytes does that).
-func residentFootprint(ones, cols int) int64 {
-	return int64(ones)*8 + int64(cols)*16
-}
-
-// footprint is residentFootprint of a resident dataset, from the ones
-// count its info already carries instead of a walk over every row.
+// footprint is the core.Footprint of a resident dataset, which the
+// brownout ledger bills its mines, from the ones count its info already
+// carries instead of a walk over every row.
 func (d *dataset) footprint() int64 {
-	return residentFootprint(d.info.Ones, d.info.Cols)
+	return core.Footprint(d.info.Ones, d.info.Cols)
 }
 
 // scratchDir is where spill and degrade files land: the durable
@@ -988,9 +981,10 @@ type ImplicationWire struct {
 }
 
 // MineResponse wraps a mined rule list with run metadata. Source
-// reports how the rules were obtained: "" for a full scan, "cache" for
-// an O(1) cached result, "incremental" for a derivation from the
-// dataset's miss counters.
+// reports how the rules were obtained: "" for a local mine, scanned or
+// served from the dataset's memo, "cache" for an O(1) cached result,
+// "incremental" for a derivation from the dataset's miss counters,
+// "fleet" for a scatter over the fleet's workers.
 type MineResponse[R any] struct {
 	Dataset   string `json:"dataset"`
 	Threshold int    `json:"threshold_percent"`

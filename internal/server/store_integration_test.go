@@ -101,7 +101,7 @@ func TestPutPersistsAcrossRestart(t *testing.T) {
 func TestLoadStoreBillsRecoveredBytes(t *testing.T) {
 	const body = "bread butter jam\nbread butter\nbread butter coffee\n"
 	m := mustParseBaskets(t, body)
-	est := residentFootprint(m.NumOnes(), m.NumCols())
+	est := core.Footprint(m.NumOnes(), m.NumCols())
 	for _, streamMin := range []int64{0, 1} {
 		dir := t.TempDir()
 		st := openTestStore(t, dir, store.Options{})
@@ -290,7 +290,7 @@ func TestBudgetErrorSurvivesFailedSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mustParseBaskets(t, "a b\na b\n")
-	_, _, err := mineMem(s, &s.imps, &dataset{m: m, info: info("d", m)}, core.FromPercent(80), core.Options{}, params{workers: 1})
+	_, _, err := mineMem(s, &s.imps, &dataset{m: m, info: info("d", m), prep: core.Prepare(m)}, core.FromPercent(80), core.Options{}, params{workers: 1})
 	if err == nil {
 		t.Fatal("failed spill reported success")
 	}

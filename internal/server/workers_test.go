@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -114,10 +115,12 @@ func TestAutoWorkersIdleSlots(t *testing.T) {
 }
 
 // TestAutoWorkersBusySlots: with every other slot held, no limiter, or
-// a memory budget to split, a mine that names no workers runs one.
+// a memory budget to split, a mine that names no workers runs one. Each
+// mine of a server asks for a lower threshold than the last, so the
+// memo cannot serve it.
 func TestAutoWorkersBusySlots(t *testing.T) {
 	withProcs(t, 4)
-	const q = "/v1/datasets/baskets/implications?threshold=80"
+	const q, below = "/v1/datasets/baskets/implications?threshold=80", "/v1/datasets/baskets/implications?threshold=70"
 
 	s, ts, log := autoServer(t, Config{MaxConcurrentMines: 3})
 	var releases []func()
@@ -131,7 +134,7 @@ func TestAutoWorkersBusySlots(t *testing.T) {
 	getJSON(t, ts.URL+q, http.StatusOK, nil)
 	log.only(t, "two of three slots held", 1)
 	releases[0]()
-	getJSON(t, ts.URL+q, http.StatusOK, nil)
+	getJSON(t, ts.URL+below, http.StatusOK, nil)
 	log.only(t, "one of three slots held", 2)
 	releases[1]()
 
@@ -200,12 +203,16 @@ func TestAutoWorkersHoldSlots(t *testing.T) {
 
 // TestAutoWorkersExplicit: a workers value the request names reaches
 // the engine unchanged whatever the idle slots, and a bad one is still
-// refused.
+// refused. Each round mines lower thresholds than the last, so the memo
+// cannot serve them.
 func TestAutoWorkersExplicit(t *testing.T) {
 	withProcs(t, 4)
 	_, ts, log := autoServer(t, Config{MaxConcurrentMines: 4})
-	for _, w := range []int{1, 3, 0} {
-		for _, q := range []string{"implications?threshold=80", "similarities?threshold=60"} {
+	for i, w := range []int{1, 3, 0} {
+		for _, q := range []string{
+			fmt.Sprintf("implications?threshold=%d", 80-10*i),
+			fmt.Sprintf("similarities?threshold=%d", 60-10*i),
+		} {
 			getJSON(t, ts.URL+"/v1/datasets/baskets/"+q+"&workers="+strconv.Itoa(w), http.StatusOK, nil)
 			log.only(t, q, w)
 		}

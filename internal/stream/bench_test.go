@@ -113,8 +113,10 @@ func BenchmarkStreamMine(b *testing.B) {
 // gen.Bench at scale 1/8 saved as a .dmb file, three ways at one and
 // two workers: fresh partitions the file for every key and deletes it
 // after (MineImplicationsCfg, MineSimilaritiesCfg); kept partitions it
-// once and replays it for every key; kept+memo replays it through a
-// core.PrepareSource memo, which a server's file-backed dataset does.
+// once and replays it for every key; kept+memo mines it through a
+// core.PrepareSource memo, which a server's file-backed dataset does,
+// so after the warm-up cycle every key is served from the memo with no
+// replay.
 // One op is the whole cycle. ms/key is the mean mine, and p50-ms and
 // p90-ms are the 8th and 14th of the 15 per-key means, the keys whose
 // latency the load benchmark's op_p50_ms and op_p90_ms land on.
